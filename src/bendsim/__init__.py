@@ -13,7 +13,6 @@ from .dynamics import (
     build_chain,
     coriolis_matrix,
     eom_accel,
-    generalized_matrices,
     mass_matrix,
     pressure_torque,
     total_energy,
@@ -35,7 +34,6 @@ from .integrator import (
     positions_at,
     pressure_at,
     simulate,
-    step,
 )
 from .io import (
     ModelConfig,

@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 I/O failure, 2 invalid input or arguments.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -19,6 +18,8 @@ from .identification import identify
 from .integrator import SimConfig, dominant_frequency, positions_at, simulate
 from .io import (
     ModelConfig,
+    _jnum,
+    _write_json,
     config_to_dict,
     parse_config,
     parse_frames,
@@ -50,16 +51,6 @@ def _load_chain(config: ModelConfig):
     return build_chain(config.geometry, config.n_links, reference=reference)
 
 
-def _write_json(doc: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-def _num(value: float) -> float:
-    return float(f"{float(value):.10g}")
-
-
 def cmd_reconstruct(args) -> int:
     frames = parse_frames(args.frames)
     n = args.links
@@ -77,20 +68,20 @@ def cmd_reconstruct(args) -> int:
         worst = max(worst, mx)
         out_frames.append(
             {
-                "time_s": _num(frame.time),
-                "nodes_m": [[_num(x), _num(y)] for x, y in nodes],
-                "spline_knots_m": [_num(s) for s in curve.knots],
-                "q_rad": [_num(v) for v in frame_to_joint_angles(frame, chain)],
-                "max_deviation_m": _num(mx),
-                "mean_deviation_m": _num(mean),
+                "time_s": _jnum(frame.time),
+                "nodes_m": [[_jnum(x), _jnum(y)] for x, y in nodes],
+                "spline_knots_m": [_jnum(s) for s in curve.knots],
+                "q_rad": [_jnum(v) for v in frame_to_joint_angles(frame, chain)],
+                "max_deviation_m": _jnum(mx),
+                "mean_deviation_m": _jnum(mean),
             }
         )
     doc = {
         "links": n,
         "reference_index": args.reference_index,
         "reference": {
-            "lengths_m": [_num(v) for v in chain.lengths],
-            "offsets_rad": [_num(v) for v in chain.offsets],
+            "lengths_m": [_jnum(v) for v in chain.lengths],
+            "offsets_rad": [_jnum(v) for v in chain.offsets],
         },
         "frames": out_frames,
     }
@@ -176,8 +167,8 @@ def cmd_identify(args) -> int:
     )
     doc = {
         "config": config_to_dict(fitted),
-        "objective_m": _num(result.objective_value),
-        "best_history_m": [_num(v) for v in result.best_history],
+        "objective_m": _jnum(result.objective_value),
+        "best_history_m": [_jnum(v) for v in result.best_history],
         "n_evaluations": result.n_evaluations,
         "converged": result.converged,
     }

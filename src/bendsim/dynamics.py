@@ -19,22 +19,15 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .errors import InvalidInputError
-from .kinematics import (
-    JointState,
-    LinkChain,
-    LinkParams,
-    com_jacobians,
-)
+from .kinematics import JointState, LinkChain, LinkParams, _as_angles
 
 __all__ = [
     "ActuatorGeometry",
     "DynamicsParams",
-    "GeneralizedMatrices",
     "build_chain",
     "pressure_torque",
     "mass_matrix",
     "coriolis_matrix",
-    "generalized_matrices",
     "eom_accel",
     "total_energy",
 ]
@@ -105,16 +98,6 @@ class DynamicsParams:
         return DynamicsParams(k_b=k_b, damping=(damping,) * n)
 
 
-@dataclass(frozen=True)
-class GeneralizedMatrices:
-    """The assembled M, C, D, K of the equation of motion."""
-
-    M: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    K: np.ndarray
-
-
 def build_chain(
     geometry: ActuatorGeometry,
     n: int,
@@ -166,36 +149,22 @@ def pressure_torque(geometry: ActuatorGeometry, p: float) -> float:
     return (2.0 / 3.0) * p * geometry.r2**3
 
 
-def mass_matrix(chain: LinkChain, q) -> np.ndarray:
-    """Generalized inertia matrix M(q).
-
-    Summed over links from the center-of-mass Jacobians:
-    M = sum_i m_i Jv_i^T Jv_i + I_i Jw_i^T Jw_i. Symmetric positive
-    definite for every configuration with positive link masses.
-    """
-    n = len(chain)
-    M = np.zeros((n, n))
-    masses = chain.masses
-    inertias = chain.inertias_com
-    for i, (jv, jw) in enumerate(com_jacobians(chain, q)):
-        M += masses[i] * (jv.T @ jv) + inertias[i] * (jw.T @ jw)
-    return M
-
-
 class _ChainDynamics:
-    """Precomputed chain constants for fast repeated M/C assembly.
+    """Precomputed chain constants of the equation of motion.
 
-    Uses absolute link headings phi = cumsum(q + offsets): the kinetic
-    energy is (1/2) phidot^T H phidot with H = P o cos(phi_k - phi_m)
-    + diag(I), where P collects the mass-weighted lever products. M, C
-    follow by the constant lower-triangular map phi = L (q + offsets).
-    The resulting C is the exact Christoffel-symbol Coriolis matrix of
-    M(q).
+    Uses absolute link headings phi = L (q + offsets), with L the
+    lower-triangular matrix of ones: the kinetic energy is
+    (1/2) phidot^T H phidot with H = P o cos(phi_k - phi_m) + diag(I),
+    where P collects the constant mass-weighted lever products. Then
+    M = L^T H L, and the exact Christoffel-symbol Coriolis matrix is
+    C = L^T (P o sin(phi_k - phi_m) o phidot_m) L.
+
+    Because cos 0 = 1 and sin 0 = 0 on the diagonal, both H and the
+    sine term use the one constant matrix J = P + diag(I).
     """
 
     def __init__(self, chain: LinkChain):
         n = len(chain)
-        self.n = n
         self.offsets = chain.offsets
         lengths = chain.lengths
         coms = chain.com_distances
@@ -205,29 +174,27 @@ class _ChainDynamics:
         for i in range(n):
             A[i, :i] = lengths[:i]
             A[i, i] = coms[i]
-        self.P = A.T @ (masses[:, None] * A)
-        self.inertias = chain.inertias_com
+        self.J = A.T @ (masses[:, None] * A) + np.diag(chain.inertias_com)
         self.L = np.tril(np.ones((n, n)))
-        self._diag = np.diag_indices(n)
 
-    def mass_coriolis(self, q: np.ndarray, qdot: np.ndarray):
-        """(M, C) at the given configuration and rates."""
-        phi = np.cumsum(q + self.offsets)
-        dphi = phi[:, None] - phi[None, :]
-        H = self.P * np.cos(dphi)
-        H[self._diag] += self.inertias
-        M = self.L.T @ H @ self.L
-        phidot = np.cumsum(qdot)
-        Ct = (self.P * np.sin(dphi)) * phidot[None, :]
-        C = self.L.T @ Ct @ self.L
-        return M, C
+    def heading_inertia(self, q: np.ndarray):
+        """(dphi, H): heading differences phi_k - phi_m and inertia H."""
+        # add.accumulate is cumsum without its Python-level dispatch.
+        phi = np.add.accumulate(q + self.offsets)
+        dphi = np.subtract.outer(phi, phi)
+        return dphi, self.J * np.cos(dphi)
 
-    def mass(self, q: np.ndarray) -> np.ndarray:
-        phi = np.cumsum(q + self.offsets)
-        dphi = phi[:, None] - phi[None, :]
-        H = self.P * np.cos(dphi)
-        H[self._diag] += self.inertias
-        return self.L.T @ H @ self.L
+
+def mass_matrix(chain: LinkChain, q) -> np.ndarray:
+    """Generalized inertia matrix M(q) = L^T H L.
+
+    Symmetric positive definite for every configuration with positive
+    link masses.
+    """
+    q = _as_angles(chain, q)
+    dyn = _ChainDynamics(chain)
+    _, H = dyn.heading_inertia(q)
+    return dyn.L.T @ H @ dyn.L
 
 
 def coriolis_matrix(chain: LinkChain, q, qdot) -> np.ndarray:
@@ -242,23 +209,10 @@ def coriolis_matrix(chain: LinkChain, q, qdot) -> np.ndarray:
         raise InvalidInputError(
             f"expected q and qdot of length {len(chain)}"
         )
-    _, C = _ChainDynamics(chain).mass_coriolis(q, qdot)
-    return C
-
-
-def generalized_matrices(
-    chain: LinkChain, params: DynamicsParams, state: JointState
-) -> GeneralizedMatrices:
-    """Assemble all four matrices of the equation of motion."""
-    _require_matching(chain, params)
-    M, C = _ChainDynamics(chain).mass_coriolis(state.q, state.qdot)
-    n = len(chain)
-    return GeneralizedMatrices(
-        M=M,
-        C=C,
-        D=np.diag(params.damping),
-        K=params.k_b * np.eye(n),
-    )
+    dyn = _ChainDynamics(chain)
+    dphi, _ = dyn.heading_inertia(q)
+    Ct = (dyn.J * np.sin(dphi)) * np.cumsum(qdot)[None, :]
+    return dyn.L.T @ Ct @ dyn.L
 
 
 def _require_matching(chain: LinkChain, params: DynamicsParams):
@@ -268,20 +222,8 @@ def _require_matching(chain: LinkChain, params: DynamicsParams):
         )
 
 
-# LAPACK Cholesky solve (?posv) for the SPD mass matrix; fetched once.
+# LAPACK Cholesky solve (?posv) for the SPD inertia; fetched once.
 _POSV = get_lapack_funcs(("posv",), (np.empty((1, 1)), np.empty(1)))[0]
-
-
-def _spd_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs by Cholesky factorization.
-
-    Returns NaNs when the factorization fails (non-finite or non-PD M),
-    so integration-loop callers surface it as divergence.
-    """
-    _, x, info = _POSV(M, rhs, lower=1)
-    if info != 0:
-        return np.full_like(rhs, np.nan)
-    return x
 
 
 def eom_accel(
@@ -315,21 +257,41 @@ def _accel(
     q: np.ndarray,
     qdot: np.ndarray,
 ) -> np.ndarray:
-    M, C = dyn.mass_coriolis(q, qdot)
-    rhs = tau - C @ qdot - damping * qdot - k_b * q
-    return _spd_solve(M, rhs)
+    """qddot from the equation of motion in heading form.
+
+    Solves H phiddot = L^-T r - (P o sin dphi)(phidot o phidot) for the
+    joint-space force r = tau - D qdot - k_b q and returns
+    qddot = L^-1 phiddot. Both L^-T and L^-1 are first differences, so
+    neither M nor C is formed. Returns NaNs when the Cholesky
+    factorization fails (non-finite or non-PD H), so integration-loop
+    callers surface it as divergence.
+    """
+    dphi, H = dyn.heading_inertia(q)
+    phidot = np.add.accumulate(qdot)
+    rhs = tau - damping * qdot - k_b * q
+    rhs[:-1] -= rhs[1:]
+    rhs -= (dyn.J * np.sin(dphi)) @ (phidot * phidot)
+    _, phiddot, info = _POSV(H, rhs, lower=1, overwrite_a=1, overwrite_b=1)
+    if info != 0:
+        return np.full_like(rhs, np.nan)
+    phiddot[1:] -= phiddot[:-1]
+    return phiddot
 
 
 def total_energy(
     chain: LinkChain, params: DynamicsParams, state: JointState
 ) -> float:
-    """Kinetic plus elastic energy (J): (1/2) qdot^T M qdot + (1/2) k_b |q|^2."""
+    """Kinetic plus elastic energy (J): (1/2) qdot^T M qdot + (1/2) k_b |q|^2.
+
+    The kinetic part is evaluated as (1/2) phidot^T H phidot.
+    """
     _require_matching(chain, params)
     if len(state) != len(chain):
         raise InvalidInputError(
             f"state has {len(state)} joints, chain has {len(chain)}"
         )
-    M = _ChainDynamics(chain).mass(state.q)
-    kinetic = 0.5 * state.qdot @ M @ state.qdot
+    _, H = _ChainDynamics(chain).heading_inertia(state.q)
+    phidot = np.cumsum(state.qdot)
+    kinetic = 0.5 * phidot @ H @ phidot
     elastic = 0.5 * params.k_b * float(state.q @ state.q)
     return float(kinetic + elastic)

@@ -9,7 +9,7 @@ scheme keeps its full order across input discontinuities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "PressureTrace",
     "Trajectory",
     "pressure_at",
-    "step",
     "simulate",
     "positions_at",
     "dominant_frequency",
@@ -38,19 +37,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integration window and solver knobs.
+    """Integration window, step size and output rate.
 
     max_step is the largest internal RK4 step (s); the default 1e-4 s
-    holds every output sample to better than rel_tol under step halving
-    for the actuator-scale systems this package targets. Outputs are
-    recorded at output_rate (Hz).
+    holds every output sample to better than 1e-6 relative under step
+    halving for the actuator-scale systems this package targets. Outputs
+    are recorded at output_rate (Hz).
     """
 
     t_start: float = 0.0
     t_end: float = 1.0
     max_step: float = 1e-4
-    rel_tol: float = 1e-6
-    abs_tol: float = 1e-12
     output_rate: float = 1000.0
 
     def __post_init__(self):
@@ -60,8 +57,6 @@ class SimConfig:
             )
         if self.max_step <= 0:
             raise InvalidInputError(f"max_step must be > 0, got {self.max_step}")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise InvalidInputError("tolerances must be > 0")
         if self.output_rate <= 0:
             raise InvalidInputError(
                 f"output_rate must be > 0, got {self.output_rate}"
@@ -70,28 +65,30 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class PressureTrace:
-    """Sampled pressure input: ordered (time s, pressure Pa) pairs."""
+    """Sampled pressure input: ordered (time s, pressure Pa) pairs.
+
+    The read-only arrays `times` and `pressures` are built once from
+    `samples`, so lookups do not copy the trace.
+    """
 
     samples: tuple[tuple[float, float], ...]
+    times: np.ndarray = field(init=False, repr=False, compare=False)
+    pressures: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         samples = tuple((float(t), float(p)) for t, p in self.samples)
         if len(samples) == 0:
             raise InvalidInputError("pressure trace needs at least one sample")
-        times = np.array([t for t, _ in samples])
+        times, pressures = np.array(samples).T.copy()
         if np.any(np.diff(times) <= 0):
             raise InvalidInputError("pressure sample times must be strictly increasing")
-        if not all(math.isfinite(t) and math.isfinite(p) for t, p in samples):
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(pressures))):
             raise InvalidInputError("pressure samples must be finite")
+        times.flags.writeable = False
+        pressures.flags.writeable = False
         object.__setattr__(self, "samples", samples)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.samples])
-
-    @property
-    def pressures(self) -> np.ndarray:
-        return np.array([p for _, p in self.samples])
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "pressures", pressures)
 
     @staticmethod
     def rectangular(
@@ -106,11 +103,10 @@ class PressureTrace:
 
 def pressure_at(trace: PressureTrace, t: float) -> float:
     """Zero-order-hold pressure at time t; zero before the first sample."""
-    times = trace.times
-    idx = int(np.searchsorted(times, t, side="right")) - 1
+    idx = int(np.searchsorted(trace.times, t, side="right")) - 1
     if idx < 0:
         return 0.0
-    return trace.samples[idx][1]
+    return float(trace.pressures[idx])
 
 
 @dataclass(frozen=True)
@@ -173,51 +169,6 @@ def _rk4_step(dyn, damping, k_b, tau, q, qdot, h):
     q_next = q + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
     v_next = qdot + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
     return q_next, v_next
-
-
-def step(
-    chain: LinkChain,
-    params: DynamicsParams,
-    geometry: ActuatorGeometry,
-    state: JointState,
-    t: float,
-    dt: float,
-    trace: PressureTrace,
-) -> JointState:
-    """Advance the state by one RK4 step of size dt from time t.
-
-    The pressure is evaluated per stage (t, t+dt/2, t+dt) under the
-    zero-order hold; steps that straddle a pressure sample are better
-    split there, which is what `simulate` does.
-    """
-    if dt <= 0:
-        raise InvalidInputError(f"dt must be > 0, got {dt}")
-    _require_matching(chain, params)
-    if len(state) != len(chain):
-        raise InvalidInputError(
-            f"state has {len(state)} joints, chain has {len(chain)}"
-        )
-    dyn = _ChainDynamics(chain)
-    damping = np.asarray(params.damping)
-    k_b = params.k_b
-    q, qdot = state.q, state.qdot
-    taus = [
-        pressure_torque(geometry, pressure_at(trace, ti))
-        for ti in (t, t + 0.5 * dt, t + 0.5 * dt, t + dt)
-    ]
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1v = _accel(dyn, damping, k_b, taus[0], q, qdot)
-        q2, v2 = q + 0.5 * dt * qdot, qdot + 0.5 * dt * k1v
-        k2v = _accel(dyn, damping, k_b, taus[1], q2, v2)
-        q3, v3 = q + 0.5 * dt * v2, qdot + 0.5 * dt * k2v
-        k3v = _accel(dyn, damping, k_b, taus[2], q3, v3)
-        q4, v4 = q + dt * v3, qdot + dt * k3v
-        k4v = _accel(dyn, damping, k_b, taus[3], q4, v4)
-        q_next = q + (dt / 6.0) * (qdot + 2 * v2 + 2 * v3 + v4)
-        v_next = qdot + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-    if not (np.all(np.isfinite(q_next)) and np.all(np.isfinite(v_next))):
-        raise DivergenceError(t + dt)
-    return JointState(q=q_next, qdot=v_next)
 
 
 def _output_times(config: SimConfig) -> np.ndarray:

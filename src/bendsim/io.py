@@ -53,6 +53,17 @@ def _jnum(value: float) -> float:
     return float(_fmt(value))
 
 
+def _write_json(doc: dict, path_or_stream) -> None:
+    """Write doc as indented JSON plus a final newline to a path or stream."""
+    if hasattr(path_or_stream, "write"):
+        json.dump(doc, path_or_stream, indent=2)
+        path_or_stream.write("\n")
+    else:
+        with open(path_or_stream, "w") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+
+
 def _reading(path_or_stream):
     if hasattr(path_or_stream, "read"):
         return _io.StringIO(path_or_stream.read()), None
@@ -295,14 +306,7 @@ def config_to_dict(config: ModelConfig) -> dict:
 
 def write_config(config: ModelConfig, path_or_stream) -> None:
     """Write a model config as JSON."""
-    doc = config_to_dict(config)
-    if hasattr(path_or_stream, "write"):
-        json.dump(doc, path_or_stream, indent=2)
-        path_or_stream.write("\n")
-    else:
-        with open(path_or_stream, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+    _write_json(config_to_dict(config), path_or_stream)
 
 
 def trajectory_header(n: int) -> list[str]:
@@ -383,10 +387,4 @@ def write_report(report: OrderSelectionReport, path_or_stream) -> None:
             for c in report.candidates
         ],
     }
-    if hasattr(path_or_stream, "write"):
-        json.dump(doc, path_or_stream, indent=2)
-        path_or_stream.write("\n")
-    else:
-        with open(path_or_stream, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+    _write_json(doc, path_or_stream)

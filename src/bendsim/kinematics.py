@@ -22,16 +22,10 @@ __all__ = [
     "LinkChain",
     "JointState",
     "BodyVelocity",
-    "link_transform",
     "forward_kinematics",
     "joint_positions",
     "body_velocities",
-    "com_jacobians",
 ]
-
-# Planar 90-degree rotation (the generator of SO(2)); S @ v rotates v CCW.
-_SKEW = np.array([[0.0, -1.0], [1.0, 0.0]])
-
 
 def rotation(angle: float) -> np.ndarray:
     """2x2 CCW rotation matrix for `angle` (rad)."""
@@ -215,21 +209,6 @@ def _as_angles(chain: LinkChain, q) -> np.ndarray:
     return q
 
 
-def link_transform(link: LinkParams, theta: float) -> PlanarPose:
-    """Transform across one link for joint angle `theta`.
-
-    Rotation by theta + link.offset followed by a translation of
-    link.length along the rotated local +Y axis.
-    """
-    if not math.isfinite(theta):
-        raise InvalidInputError("theta must be finite")
-    angle = theta + link.offset
-    return PlanarPose(
-        angle=angle,
-        position=link.length * np.array([-math.sin(angle), math.cos(angle)]),
-    )
-
-
 def absolute_angles(chain: LinkChain, q) -> np.ndarray:
     """Heading of every link relative to the base +Y axis (rad)."""
     return np.cumsum(_as_angles(chain, q) + chain.offsets)
@@ -291,23 +270,3 @@ def com_positions(chain: LinkChain, q) -> np.ndarray:
     u = np.column_stack([-np.sin(phi), np.cos(phi)])
     return joints[:-1] + chain.com_distances[:, None] * u
 
-
-def com_jacobians(chain: LinkChain, q) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-link (linear 2xn, angular 1xn) Jacobians at the centers of mass.
-
-    Column j of link i's Jacobians is zero for j > i. The linear columns
-    are the lever arms from joint j to the COM rotated by 90 degrees, so
-    J_v @ qdot is the task-space COM velocity.
-    """
-    n = len(chain)
-    joints = joint_positions(chain, q)
-    coms = com_positions(chain, q)
-    out = []
-    for i in range(n):
-        jv = np.zeros((2, n))
-        lever = coms[i] - joints[: i + 1]  # (i+1) x 2, joint j at joints[j]
-        jv[:, : i + 1] = (_SKEW @ lever.T)
-        jw = np.zeros((1, n))
-        jw[0, : i + 1] = 1.0
-        out.append((jv, jw))
-    return out

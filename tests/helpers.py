@@ -2,7 +2,15 @@
 
 import numpy as np
 
-from bendsim.kinematics import LinkChain, LinkParams
+from bendsim.kinematics import (
+    LinkChain,
+    LinkParams,
+    com_positions,
+    joint_positions,
+)
+
+# Planar 90-degree rotation (the generator of SO(2)); S @ v rotates v CCW.
+_SKEW = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def random_chain(rng, n=None, curved=True):
@@ -23,6 +31,41 @@ def random_chain(rng, n=None, curved=True):
         for l, o, m in zip(lengths, offsets, masses)
     )
     return LinkChain(links)
+
+
+def com_jacobians(chain, q):
+    """Per-link (linear 2xn, angular 1xn) Jacobians at the centers of mass.
+
+    Column j of link i's Jacobians is zero for j > i. The linear columns
+    are the lever arms from joint j to the COM rotated by 90 degrees, so
+    J_v @ qdot is the task-space COM velocity.
+    """
+    n = len(chain)
+    joints = joint_positions(chain, q)
+    coms = com_positions(chain, q)
+    out = []
+    for i in range(n):
+        jv = np.zeros((2, n))
+        lever = coms[i] - joints[: i + 1]  # (i+1) x 2, joint j at joints[j]
+        jv[:, : i + 1] = _SKEW @ lever.T
+        jw = np.zeros((1, n))
+        jw[0, : i + 1] = 1.0
+        out.append((jv, jw))
+    return out
+
+
+def jacobian_mass_matrix(chain, q):
+    """M(q) summed over links from the COM Jacobians (independent oracle).
+
+    M = sum_i m_i Jv_i^T Jv_i + I_i Jw_i^T Jw_i.
+    """
+    n = len(chain)
+    M = np.zeros((n, n))
+    masses = chain.masses
+    inertias = chain.inertias_com
+    for i, (jv, jw) in enumerate(com_jacobians(chain, q)):
+        M += masses[i] * (jv.T @ jv) + inertias[i] * (jw.T @ jw)
+    return M
 
 
 def homogeneous(angle, position):

@@ -11,7 +11,6 @@ from bendsim.dynamics import (
     build_chain,
     coriolis_matrix,
     eom_accel,
-    generalized_matrices,
     mass_matrix,
     pressure_torque,
     total_energy,
@@ -19,13 +18,13 @@ from bendsim.dynamics import (
 from bendsim.errors import InvalidInputError
 from bendsim.kinematics import JointState, body_velocities
 
-from helpers import random_chain
+from helpers import jacobian_mass_matrix, random_chain
 
 
 def fd_mass_dot(chain, q, qdot, dt=1e-6):
     """Central finite difference of M along the motion direction."""
-    plus = mass_matrix(chain, q + dt * qdot)
-    minus = mass_matrix(chain, q - dt * qdot)
+    plus = jacobian_mass_matrix(chain, q + dt * qdot)
+    minus = jacobian_mass_matrix(chain, q - dt * qdot)
     return (plus - minus) / (2.0 * dt)
 
 
@@ -36,7 +35,8 @@ def fd_christoffel(chain, q, qdot, dt=1e-6):
     for k in range(n):
         dq = np.zeros(n)
         dq[k] = dt
-        dM[k] = (mass_matrix(chain, q + dq) - mass_matrix(chain, q - dq))
+        dM[k] = (jacobian_mass_matrix(chain, q + dq)
+                 - jacobian_mass_matrix(chain, q - dq))
         dM[k] /= 2.0 * dt
     C = np.zeros((n, n))
     for i in range(n):
@@ -117,11 +117,9 @@ class TestMassMatrix:
     def test_fast_route_matches_jacobian_route(self, n, data):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         chain = random_chain(rng, n)
-        params = DynamicsParams.uniform(1.0, 0.0, n)
         q = rng.uniform(-math.pi, math.pi, n)
-        state = JointState(q=q, qdot=np.zeros(n))
-        M_fast = generalized_matrices(chain, params, state).M
-        np.testing.assert_allclose(M_fast, mass_matrix(chain, q), atol=1e-14)
+        np.testing.assert_allclose(mass_matrix(chain, q),
+                                   jacobian_mass_matrix(chain, q), atol=1e-14)
 
 
 class TestCoriolis:
@@ -153,12 +151,14 @@ class TestCoriolis:
 
 
 class TestEquationOfMotion:
-    def test_matrix_shapes_and_structure(self, bench_chain, bench_params):
-        state = JointState(q=np.full(5, 0.1), qdot=np.full(5, 0.2))
-        mats = generalized_matrices(bench_chain, bench_params, state)
-        assert mats.M.shape == mats.C.shape == (5, 5)
-        np.testing.assert_allclose(mats.D, np.diag([0.008] * 5), atol=1e-15)
-        np.testing.assert_allclose(mats.K, 1.6067 * np.eye(5), atol=1e-15)
+    def test_matrix_shapes_and_structure(self, bench_chain):
+        q, qdot = np.full(5, 0.1), np.full(5, 0.2)
+        assert mass_matrix(bench_chain, q).shape == (5, 5)
+        assert coriolis_matrix(bench_chain, q, qdot).shape == (5, 5)
+        with pytest.raises(InvalidInputError):
+            mass_matrix(bench_chain, np.zeros(4))
+        with pytest.raises(InvalidInputError):
+            coriolis_matrix(bench_chain, q, np.zeros(4))
 
     def test_static_equilibrium_zero_acceleration(
         self, bench_chain, bench_params, bench_geometry
@@ -175,10 +175,13 @@ class TestEquationOfMotion:
         state = JointState(q=np.full(5, 0.05), qdot=np.full(5, -0.4))
         acc = eom_accel(bench_chain, bench_params, bench_geometry, state,
                         119e3)
-        mats = generalized_matrices(bench_chain, bench_params, state)
+        M = jacobian_mass_matrix(bench_chain, state.q)
+        C = coriolis_matrix(bench_chain, state.q, state.qdot)
+        D = np.diag(bench_params.damping)
+        K = bench_params.k_b * np.eye(5)
         tau = pressure_torque(bench_geometry, 119e3) * np.ones(5)
-        rhs = tau - (mats.C + mats.D) @ state.qdot - mats.K @ state.q
-        np.testing.assert_allclose(acc, np.linalg.solve(mats.M, rhs),
+        rhs = tau - (C + D) @ state.qdot - K @ state.q
+        np.testing.assert_allclose(acc, np.linalg.solve(M, rhs),
                                    rtol=1e-9, atol=1e-12)
 
     def test_mismatched_damping_rejected(self, bench_chain, bench_geometry):

@@ -18,7 +18,6 @@ from bendsim.integrator import (
     positions_at,
     pressure_at,
     simulate,
-    step,
 )
 from bendsim.kinematics import JointState, joint_positions
 
@@ -57,50 +56,30 @@ class TestPressureAt:
         trace = PressureTrace.rectangular(0.12, 2.76, 119e3)
         assert trace.samples == ((0.0, 0.0), (0.12, 119e3), (2.88, 0.0))
 
+    def test_arrays_built_once_and_read_only(self):
+        trace = PressureTrace(((0.0, 0.0), (0.12, 119e3), (2.88, 0.0)))
+        assert trace.times is trace.times
+        assert trace.pressures is trace.pressures
+        np.testing.assert_array_equal(trace.times, [0.0, 0.12, 2.88])
+        np.testing.assert_array_equal(trace.pressures, [0.0, 119e3, 0.0])
+        assert not trace.times.flags.writeable
+        assert not trace.pressures.flags.writeable
+
 
 class TestStep:
-    def test_zero_state_zero_pressure_unchanged(self, bench_chain,
-                                                bench_params, bench_geometry):
-        state = JointState(q=np.zeros(5), qdot=np.zeros(5))
-        out = step(bench_chain, bench_params, bench_geometry, state, 0.0,
-                   1e-3, ZERO_TRACE)
-        assert np.all(out.q == 0.0) and np.all(out.qdot == 0.0)
-
-    def test_fourth_order_convergence_on_harmonic_case(self, bench_geometry):
-        # A 1-link chain has constant M and zero C, so the undamped
-        # unforced system is exactly q'' = -(k/M) q with a cosine
-        # solution; global error should drop ~16x per step halving.
-        chain = build_chain(bench_geometry, 1)
-        k_b = 1.6067
-        params = DynamicsParams.uniform(k_b, 0.0, 1)
-        M = mass_matrix(chain, np.zeros(1))[0, 0]
-        omega = math.sqrt(k_b / M)
-        T, q0 = 0.2, 0.1
-
-        def endpoint_error(h):
-            state = JointState(q=np.array([q0]), qdot=np.zeros(1))
-            t = 0.0
-            for _ in range(round(T / h)):
-                state = step(chain, params, bench_geometry, state, t, h,
-                             ZERO_TRACE)
-                t += h
-            return abs(state.q[0] - q0 * math.cos(omega * T))
-
-        ratio = endpoint_error(1e-3) / endpoint_error(5e-4)
-        assert 16.0 * 0.8 < ratio < 16.0 * 1.2
-
     def test_divergence_names_time(self, bench_geometry):
+        # Unforced blow-up from a deflected start: fixed 1 ms RK4 steps
+        # are unstable for this stiffness, so a step must fail by itself.
         chain = build_chain(bench_geometry, 1)
         params = DynamicsParams.uniform(1e12, 0.0, 1)
-        state = JointState(q=np.array([0.1]), qdot=np.zeros(1))
+        init = JointState(q=np.array([0.1]), qdot=np.zeros(1))
+        config = SimConfig(t_end=1.0, max_step=1e-3, output_rate=100)
         with pytest.raises(DivergenceError) as err:
-            t = 0.0
-            for _ in range(1000):
-                state = step(chain, params, bench_geometry, state, t, 1e-3,
-                             ZERO_TRACE)
-                t += 1e-3
+            simulate(chain, params, bench_geometry, ZERO_TRACE, config,
+                     initial_state=init)
         assert "diverged" in str(err.value)
         assert err.value.time is not None
+        assert 0.0 < err.value.time <= 1.0
 
 
 class TestSimulate:
@@ -147,15 +126,39 @@ class TestSimulate:
     def test_halving_step_changes_outputs_below_tolerance(
         self, bench_chain, bench_geometry
     ):
-        params = DynamicsParams.uniform(1.6067, 0.0, 5)
-        init = lowest_mode_state(bench_chain, params.k_b)
-        runs = {}
-        for h in (1e-4, 5e-5):
-            config = SimConfig(t_end=0.5, max_step=h, output_rate=1000)
-            runs[h] = simulate(bench_chain, params, bench_geometry,
-                               ZERO_TRACE, config, initial_state=init)
-        scale = np.abs(runs[1e-4].q).max()
-        assert np.abs(runs[1e-4].q - runs[5e-5].q).max() / scale < 1e-6
+        # Damping makes the system stiff, so the damped case is checked too.
+        for damping in (0.0, 0.008):
+            params = DynamicsParams.uniform(1.6067, damping, 5)
+            init = lowest_mode_state(bench_chain, params.k_b)
+            runs = {}
+            for h in (1e-4, 5e-5):
+                config = SimConfig(t_end=0.5, max_step=h, output_rate=1000)
+                runs[h] = simulate(bench_chain, params, bench_geometry,
+                                   ZERO_TRACE, config, initial_state=init)
+            scale = np.abs(runs[1e-4].q).max()
+            assert np.abs(runs[1e-4].q - runs[5e-5].q).max() / scale < 1e-6
+
+    def test_fourth_order_convergence_on_harmonic_case(self, bench_geometry):
+        # A 1-link chain has constant M and zero C, so the undamped
+        # unforced system is exactly q'' = -(k/M) q with a cosine
+        # solution; global error should drop ~16x per step halving.
+        chain = build_chain(bench_geometry, 1)
+        k_b = 1.6067
+        params = DynamicsParams.uniform(k_b, 0.0, 1)
+        M = mass_matrix(chain, np.zeros(1))[0, 0]
+        omega = math.sqrt(k_b / M)
+        T, q0 = 0.2, 0.1
+        init = JointState(q=np.array([q0]), qdot=np.zeros(1))
+
+        def endpoint_error(h):
+            config = SimConfig(t_end=T, max_step=h, output_rate=1.0 / T)
+            traj = simulate(chain, params, bench_geometry, ZERO_TRACE, config,
+                            initial_state=init)
+            assert traj.times[-1] == T
+            return abs(traj.q[-1, 0] - q0 * math.cos(omega * T))
+
+        ratio = endpoint_error(1e-3) / endpoint_error(5e-4)
+        assert 16.0 * 0.8 < ratio < 16.0 * 1.2
 
     def test_positions_match_forward_kinematics(self, bench_chain,
                                                 bench_params, bench_geometry):
@@ -186,6 +189,7 @@ class TestSimulate:
         config = SimConfig(t_end=1.0, max_step=1e-3, output_rate=100)
         with pytest.raises(DivergenceError) as err:
             simulate(chain, params, bench_geometry, trace, config)
+        assert "diverged" in str(err.value)
         assert math.isfinite(err.value.time)
         assert 0.0 <= err.value.time <= 1.0
 

@@ -13,13 +13,17 @@ from bendsim.kinematics import (
     PlanarPose,
     absolute_angles,
     body_velocities,
-    com_jacobians,
     com_positions,
     forward_kinematics,
     joint_positions,
 )
 
-from helpers import circumcenter, product_form_poses, random_chain
+from helpers import (
+    circumcenter,
+    com_jacobians,
+    product_form_poses,
+    random_chain,
+)
 
 angles = st.floats(-math.pi, math.pi, allow_nan=False)
 coords = st.floats(-1.0, 1.0, allow_nan=False)
