@@ -156,7 +156,7 @@ def cmd_identify(args) -> int:
     ]
     t_last = max(frame_times)
     sim_config = SimConfig(t_end=t_last if t_last > 0 else 1.0,
-                           max_step=2e-4, output_rate=500.0)
+                           output_rate=500.0)
     result = identify(chain, config.geometry, frames, trace, init, bounds,
                       budget=args.budget, config=sim_config)
     fitted = ModelConfig(

@@ -166,16 +166,12 @@ class _ChainDynamics:
     def __init__(self, chain: LinkChain):
         n = len(chain)
         self.offsets = chain.offsets
-        lengths = chain.lengths
-        coms = chain.com_distances
-        masses = chain.masses
+        self.L = np.tri(n)
         # A[i, k]: lever of heading k in the COM position of link i.
-        A = np.zeros((n, n))
-        for i in range(n):
-            A[i, :i] = lengths[:i]
-            A[i, i] = coms[i]
-        self.J = A.T @ (masses[:, None] * A) + np.diag(chain.inertias_com)
-        self.L = np.tril(np.ones((n, n)))
+        A = self.L * chain.lengths
+        A.flat[:: n + 1] = chain.com_distances
+        self.J = (A.T @ (chain.masses[:, None] * A)
+                  + np.diag(chain.inertias_com))
 
     def heading_inertia(self, q: np.ndarray):
         """(dphi, H): heading differences phi_k - phi_m and inertia H."""
@@ -222,8 +218,10 @@ def _require_matching(chain: LinkChain, params: DynamicsParams):
         )
 
 
-# LAPACK Cholesky solve (?posv) for the SPD inertia; fetched once.
-_POSV = get_lapack_funcs(("posv",), (np.empty((1, 1)), np.empty(1)))[0]
+# LAPACK Cholesky solve (?posv) for the SPD inertia and the solve with
+# its factor (?potrs); fetched once.
+_POSV, _POTRS = get_lapack_funcs(("posv", "potrs"),
+                                 (np.empty((1, 1)), np.empty(1)))
 
 
 def eom_accel(
@@ -249,6 +247,21 @@ def eom_accel(
     return acc
 
 
+def _heading_form(dyn, damping, k_b, tau, q, qdot):
+    """(H, S, phidot, b) of the equation of motion H phiddot = b.
+
+    b = L^-T r - S (phidot o phidot) with S = J o sin dphi and the
+    joint-space force r = tau - D qdot - k_b q.
+    """
+    dphi, H = dyn.heading_inertia(q)
+    S = dyn.J * np.sin(dphi)
+    phidot = np.add.accumulate(qdot)
+    b = tau - damping * qdot - k_b * q
+    b[:-1] -= b[1:]
+    b -= S @ (phidot * phidot)
+    return H, S, phidot, b
+
+
 def _accel(
     dyn: _ChainDynamics,
     damping: np.ndarray,
@@ -266,16 +279,50 @@ def _accel(
     factorization fails (non-finite or non-PD H), so integration-loop
     callers surface it as divergence.
     """
-    dphi, H = dyn.heading_inertia(q)
-    phidot = np.add.accumulate(qdot)
-    rhs = tau - damping * qdot - k_b * q
-    rhs[:-1] -= rhs[1:]
-    rhs -= (dyn.J * np.sin(dphi)) @ (phidot * phidot)
+    H, _, _, rhs = _heading_form(dyn, damping, k_b, tau, q, qdot)
     _, phiddot, info = _POSV(H, rhs, lower=1, overwrite_a=1, overwrite_b=1)
     if info != 0:
         return np.full_like(rhs, np.nan)
     phiddot[1:] -= phiddot[:-1]
     return phiddot
+
+
+def _accel_jacobian(
+    dyn: _ChainDynamics,
+    damping: np.ndarray,
+    k_b: float,
+    tau: float,
+    q: np.ndarray,
+    qdot: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(d qddot/d q, d qddot/d qdot) of `_accel`, in closed form.
+
+    Differentiating H phiddot = L^-T r - S (phidot o phidot), with
+    S = J o sin dphi, in headings gives
+
+        d phiddot/d qdot = H^-1 (-L^-T D - 2 S diag(phidot) L)
+        d phiddot/d q = H^-1 [(H diag(phidot^2) - diag(H phidot^2)
+                               - S diag(phiddot) + diag(S phiddot)) L
+                              - k_b L^-T]
+
+    and both map to joint space through L^-1, a first difference over
+    rows. One Cholesky factorization of H serves phiddot and both
+    blocks. Returns NaNs when it fails, like `_accel`.
+    """
+    n = len(q)
+    H, S, phidot, rhs = _heading_form(dyn, damping, k_b, tau, q, qdot)
+    chol, phiddot, info = _POSV(H, rhs, lower=1, overwrite_b=1)
+    if info != 0:
+        return np.full((n, n), np.nan), np.full((n, n), np.nan)
+    w = phidot * phidot
+    L = dyn.L
+    L_inv_T = np.eye(n) - np.eye(n, k=1)
+    d_q = ((H * w - S * phiddot) @ L + (S @ phiddot - H @ w)[:, None] * L
+           - k_b * L_inv_T)
+    d_qdot = -L_inv_T * damping - 2.0 * (S * phidot) @ L
+    x, info = _POTRS(chol, np.hstack((d_q, d_qdot)), lower=1, overwrite_b=1)
+    x[1:] -= x[:-1]
+    return x[:, :n], x[:, n:]
 
 
 def total_energy(

@@ -198,9 +198,10 @@ class BodyVelocity:
         object.__setattr__(self, "v", v)
 
 
-def _as_angles(chain: LinkChain, q) -> np.ndarray:
+def _as_angles(chain: LinkChain, q, batch: bool = False) -> np.ndarray:
+    """q as finite floats of shape (n,), or (..., n) with batch."""
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    if q.shape != (len(chain),):
+    if (q.shape[-1:] if batch else q.shape) != (len(chain),):
         raise InvalidInputError(
             f"expected {len(chain)} joint angles, got shape {q.shape}"
         )
@@ -229,13 +230,17 @@ def forward_kinematics(chain: LinkChain, q) -> list[PlanarPose]:
 
 
 def joint_positions(chain: LinkChain, q) -> np.ndarray:
-    """(n+1) x 2 array of the base point followed by every joint/tip."""
-    phi = absolute_angles(chain, q)
-    pts = np.zeros((len(chain) + 1, 2))
+    """(..., n+1, 2) array of the base point followed by every joint/tip.
+
+    q is one configuration (n,) or a stack of them (..., n); a stack is
+    placed in one vectorized pass, row for row equal to single calls.
+    """
+    phi = np.cumsum(_as_angles(chain, q, batch=True) + chain.offsets, axis=-1)
+    pts = np.zeros(phi.shape[:-1] + (len(chain) + 1, 2))
     np.cumsum(
-        chain.lengths[:, None] * np.column_stack([-np.sin(phi), np.cos(phi)]),
-        axis=0,
-        out=pts[1:],
+        chain.lengths[:, None] * np.stack([-np.sin(phi), np.cos(phi)], axis=-1),
+        axis=-2,
+        out=pts[..., 1:, :],
     )
     return pts
 

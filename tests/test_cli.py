@@ -168,7 +168,7 @@ def identify_setup(tmp_path_factory):
     chain = build_chain(GEOMETRY, 3)
     trace = PressureTrace.rectangular(0.05, 0.2, 119e3)
     traj = simulate(chain, params, GEOMETRY, trace,
-                    SimConfig(t_end=0.4, max_step=2e-4, output_rate=500))
+                    SimConfig(t_end=0.4, output_rate=500))
     frames = node_frames_from_trajectory(traj, np.linspace(0.1, 0.4, 4))
     frames_path = tmp / "frames.csv"
     write_frames_csv(frames_path, frames)
@@ -226,7 +226,7 @@ def compare_setup(tmp_path_factory):
     chain = build_chain(GEOMETRY, 3)
     trace = PressureTrace.rectangular(0.05, 0.2, 119e3)
     traj = simulate(chain, params, GEOMETRY, trace,
-                    SimConfig(t_end=0.4, max_step=2e-4, output_rate=100))
+                    SimConfig(t_end=0.4, output_rate=100))
     traj_path = tmp / "traj.csv"
     from bendsim.io import write_trajectory
     write_trajectory(traj, traj_path)

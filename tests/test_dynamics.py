@@ -14,6 +14,9 @@ from bendsim.dynamics import (
     mass_matrix,
     pressure_torque,
     total_energy,
+    _accel,
+    _accel_jacobian,
+    _ChainDynamics,
 )
 from bendsim.errors import InvalidInputError
 from bendsim.kinematics import JointState, body_velocities
@@ -189,6 +192,29 @@ class TestEquationOfMotion:
         with pytest.raises(InvalidInputError):
             eom_accel(bench_chain, params, bench_geometry,
                       JointState(q=np.zeros(5), qdot=np.zeros(5)), 0.0)
+
+
+class TestAccelJacobian:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_central_differences(self, n):
+        rng = np.random.default_rng(1000 + n)
+        chain = random_chain(rng, n)
+        dyn = _ChainDynamics(chain)
+        damping = rng.uniform(0.0, 0.05, n)
+        k_b, tau = rng.uniform(0.5, 3.0), rng.uniform(-0.2, 0.2)
+        q, qdot = rng.uniform(-0.5, 0.5, n), rng.uniform(-3.0, 3.0, n)
+        d_q, d_qdot = _accel_jacobian(dyn, damping, k_b, tau, q, qdot)
+        h = 1e-5
+
+        def accel(dq, dv):
+            return _accel(dyn, damping, k_b, tau, q + dq, qdot + dv)
+
+        fd_q = np.column_stack([(accel(h * e, 0.0) - accel(-h * e, 0.0))
+                                / (2.0 * h) for e in np.eye(n)])
+        fd_qdot = np.column_stack([(accel(0.0, h * e) - accel(0.0, -h * e))
+                                   / (2.0 * h) for e in np.eye(n)])
+        for exact, fd in ((d_q, fd_q), (d_qdot, fd_qdot)):
+            assert np.abs(exact - fd).max() <= 1e-8 * np.abs(fd).max()
 
 
 class TestEnergy:

@@ -11,7 +11,7 @@ from bendsim.synthetic import node_frames_from_trajectory
 # full-scale 5-link recovery runs in the acceptance suite.
 TRUE_PARAMS = DynamicsParams.uniform(1.6067, 0.008, 3)
 TRACE = PressureTrace.rectangular(0.05, 0.6, 119e3)
-CONFIG = SimConfig(t_end=0.8, max_step=1e-3, output_rate=250)
+CONFIG = SimConfig(t_end=0.8, output_rate=250)
 BOUNDS = [(0.1, 20.0), (1e-4, 0.5)]
 
 
@@ -42,16 +42,17 @@ class TestObjective:
 
     def test_divergence_penalty(self, problem, bench_geometry):
         chain, frames = problem
-        # Enormous stiffness makes the explicit scheme blow up at this
-        # step size; the objective must flag it, not raise.
-        bad = DynamicsParams.uniform(1e12, 0.0, 3)
-        result = objective(bad, chain, bench_geometry, frames, TRACE, CONFIG)
+        # A 1e300 Pa edge overflows the state; the objective must flag
+        # it, not raise.
+        overflow = PressureTrace(((0.0, 0.0), (0.5, 1e300)))
+        result = objective(TRUE_PARAMS, chain, bench_geometry, frames,
+                           overflow, CONFIG)
         assert result.diverged
         assert result.value == 1e6
 
     def test_frames_outside_span_rejected(self, problem, bench_geometry):
         chain, frames = problem
-        short = SimConfig(t_end=0.5, max_step=1e-3, output_rate=250)
+        short = SimConfig(t_end=0.5, output_rate=250)
         with pytest.raises(InvalidInputError):
             objective(TRUE_PARAMS, chain, bench_geometry, frames, TRACE,
                       short)

@@ -86,6 +86,16 @@ class TestForwardKinematics:
             atol=1e-15,
         )
 
+    def test_joint_positions_of_a_stack_equal_single_calls(self, rng):
+        chain = random_chain(rng, 6)
+        q = rng.uniform(-1.0, 1.0, (3, 4, 6))
+        pts = joint_positions(chain, q)
+        assert pts.shape == (3, 4, 7, 2)
+        for idx in np.ndindex(3, 4):
+            assert np.array_equal(pts[idx], joint_positions(chain, q[idx]))
+        with pytest.raises(InvalidInputError):
+            joint_positions(chain, np.zeros((4, 5)))
+
     @given(st.integers(1, 8), st.data())
     def test_recursive_matches_product_form(self, n, data):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
