@@ -60,7 +60,6 @@ from .reconstruction import (
     OrderSelectionReport,
     SensorFrame,
     SplineCurve,
-    curvature_profile,
     fit_reference_chain,
     frame_to_joint_angles,
     max_deviation,

@@ -52,8 +52,10 @@ def _load_chain(config: ModelConfig):
 
 
 def cmd_reconstruct(args) -> int:
-    frames = parse_frames(args.frames)
     n = args.links
+    if n < 2:
+        raise InvalidInputError(f"--links must be >= 2, got {n}")
+    frames = parse_frames(args.frames)
     if not 0 <= args.reference_index < len(frames):
         raise InvalidInputError(
             f"reference index {args.reference_index} outside 0..{len(frames) - 1}"
@@ -92,8 +94,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_select_order(args) -> int:
-    if args.min < 1:
-        raise InvalidInputError(f"--min must be >= 1, got {args.min}")
+    if args.min < 2:
+        raise InvalidInputError(f"--min must be >= 2, got {args.min}")
     if args.min > args.max:
         raise InvalidInputError(
             f"--min must not exceed --max, got {args.min} > {args.max}"

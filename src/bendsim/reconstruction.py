@@ -5,6 +5,12 @@ polyline whose nodes sit at equal fractions of the cumulative chord
 length; a natural cubic spline through the nodes reconstructs the
 continuous shape. Reconstruction error against the raw samples drives
 the choice of the smallest adequate link count.
+
+The splines of all frames of one candidate order come from one batched
+solve of the natural-end tridiagonal system. A point's distance to a
+spline is found by a coarse scan of every interval followed by bracketed
+Newton iterations on d/ds |c(s) - p|^2, so it is exact to rounding rather
+than to a sampling step.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import InvalidInputError
 from .kinematics import LinkChain, LinkParams
@@ -29,13 +34,17 @@ __all__ = [
     "spline_through",
     "max_deviation",
     "select_order",
-    "curvature_profile",
     "wrap_angle",
 ]
 
-# Curve-parameter sampling used by the deviation metric (m).
-_SCAN_STEP = 1e-4
-_REFINE_TOL = 1e-9
+# Deviation metric: coarse samples per spline interval, then a fixed
+# number of Newton iterations (quadratic convergence from a sample
+# spacing away reaches rounding well within it).
+_SCAN_SAMPLES = 16
+_NEWTON_ITERATIONS = 6
+# Frames per kernel call are capped so the scan's point-by-sample arrays
+# stay under this many elements (2 MB each), whatever the frame count.
+_SCAN_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -263,6 +272,40 @@ def frame_to_joint_angles(frame: SensorFrame, chain: LinkChain) -> np.ndarray:
     return q
 
 
+def _natural_spline(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Natural cubic splines through F node sets of m >= 3 nodes each.
+
+    nodes is (F, m, 2). Each spline is parameterized by its cumulative
+    chord length, with vanishing second derivative at both ends. Returns
+    the knots (F, m) and the power-basis coefficients (F, m-1, 4, 2),
+    highest power first, in the local variable s - knots[:, j].
+    """
+    d = np.diff(nodes, axis=1)
+    h = np.hypot(d[..., 0], d[..., 1])
+    if np.any(h == 0.0):
+        raise InvalidInputError("repeated parameter values (coincident nodes)")
+    F, m = nodes.shape[:2]
+    knots = np.zeros((F, m))
+    np.cumsum(h, axis=1, out=knots[:, 1:])
+    slope = d / h[..., None]
+    # Second derivatives at the knots: zero at both ends, the interior
+    # ones from the symmetric tridiagonal C2-continuity system.
+    curv = np.zeros((F, m, 2))
+    i = np.arange(m - 2)
+    A = np.zeros((F, m - 2, m - 2))
+    A[:, i, i] = 2.0 * (h[:, :-1] + h[:, 1:])
+    A[:, i[1:], i[:-1]] = h[:, 1:-1]
+    A[:, i[:-1], i[1:]] = h[:, 1:-1]
+    curv[:, 1:-1] = np.linalg.solve(A, 6.0 * np.diff(slope, axis=1))
+    h = h[..., None]
+    coeffs = np.empty((F, m - 1, 4, 2))
+    coeffs[:, :, 0] = (curv[:, 1:] - curv[:, :-1]) / (6.0 * h)
+    coeffs[:, :, 1] = 0.5 * curv[:, :-1]
+    coeffs[:, :, 2] = slope - h * (2.0 * curv[:, :-1] + curv[:, 1:]) / 6.0
+    coeffs[:, :, 3] = nodes[:, :-1]
+    return knots, coeffs
+
+
 def spline_through(nodes: np.ndarray) -> SplineCurve:
     """Natural cubic spline through node points, one per coordinate.
 
@@ -275,49 +318,94 @@ def spline_through(nodes: np.ndarray) -> SplineCurve:
         raise InvalidInputError("nodes must be an m x 2 array")
     if len(nodes) < 3:
         raise InvalidInputError(f"need at least 3 nodes, got {len(nodes)}")
-    seg = np.hypot(*(np.diff(nodes, axis=0).T))
-    if np.any(seg == 0.0):
-        raise InvalidInputError("repeated parameter values (coincident nodes)")
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    sx = CubicSpline(s, nodes[:, 0], bc_type="natural")
-    sy = CubicSpline(s, nodes[:, 1], bc_type="natural")
-    return SplineCurve(knots=s, coeffs_x=sx.c, coeffs_y=sy.c)
+    knots, coeffs = _natural_spline(nodes[None])
+    return SplineCurve(knots=knots[0], coeffs_x=coeffs[0, :, :, 0].T,
+                       coeffs_y=coeffs[0, :, :, 1].T)
 
 
-def _nearest_distances(curve: SplineCurve, points: np.ndarray) -> np.ndarray:
-    """Distance from each point to the curve, via dense scan + refinement."""
-    span = curve.s_max - curve.s_min
-    m = max(2, int(math.ceil(span / _SCAN_STEP)) + 1)
-    grid = np.linspace(curve.s_min, curve.s_max, m)
-    samples = curve.evaluate(grid)
-    # K x m squared distances; K and m stay small enough to hold at once.
-    d2 = ((points[:, None, :] - samples[None, :, :]) ** 2).sum(axis=2)
-    best = np.argmin(d2, axis=1)
-    lo = grid[np.maximum(best - 1, 0)]
-    hi = grid[np.minimum(best + 1, m - 1)]
+def _nearest_distances(
+    knots: np.ndarray, coeffs: np.ndarray, points: np.ndarray
+) -> np.ndarray:
+    """Distance from each point to its frame's piecewise-cubic curve.
 
-    def dist2(s):
-        diff = curve.evaluate(s) - points
-        return (diff**2).sum(axis=1)
+    knots (F, m) and coeffs (F, m-1, 4, 2) as from _natural_spline;
+    points (F, K, 2). Returns (F, K). Every interval is split into
+    _SCAN_SAMPLES steps; the nearest sample picks an interval, and
+    Newton on d/ds |c(s) - p|^2, clipped to the interval, runs there and
+    in both neighbouring intervals. The result is the least distance
+    over those three Newton points and the six interval ends.
+    """
+    F, J = coeffs.shape[:2]
+    S = _SCAN_SAMPLES + 1  # samples per interval, both ends included
+    block = max(1, _SCAN_ELEMENTS // (points.shape[1] * J * S))
+    if F > block:
+        return np.concatenate([
+            _nearest_distances(knots[i:i + block], coeffs[i:i + block],
+                               points[i:i + block])
+            for i in range(0, F, block)
+        ])
+    h = np.diff(knots, axis=1)
 
-    # Vectorized ternary search on the bracketed parameter window.
-    iters = max(1, int(math.ceil(math.log((2 * _SCAN_STEP) / _REFINE_TOL)
-                                 / math.log(1.5))))
-    for _ in range(iters):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        take_hi = dist2(m1) > dist2(m2)
-        lo = np.where(take_hi, m1, lo)
-        hi = np.where(take_hi, hi, m2)
-    s_best = 0.5 * (lo + hi)
-    return np.sqrt(dist2(s_best))
+    # Coarse scan: |p - c|^2 - |p|^2 = |c|^2 - 2 p.c for every sample c,
+    # one batched matrix product; it only has to rank the samples.
+    t = (h[..., None] * (np.arange(S) / (S - 1)))[..., None]
+    k = coeffs[:, :, :, None, :]
+    samples = (((k[:, :, 0] * t + k[:, :, 1]) * t + k[:, :, 2]) * t
+               + k[:, :, 3]).reshape(F, J * S, 2)
+    rank = points @ samples.transpose(0, 2, 1)
+    rank *= -2.0
+    rank += (samples * samples).sum(axis=2)[:, None, :]
+    j, best = np.divmod(np.argmin(rank, axis=2), S)
+
+    # Newton in the best sample's interval (from that sample) and in its
+    # neighbours (from the shared knot); clipping folds out-of-range
+    # neighbours onto the end intervals.
+    frame = np.arange(F)[:, None, None]
+    jc = np.clip(j[..., None] + np.array([-1, 0, 1]), 0, J - 1)
+    hc = h[frame, jc]
+    t = np.where(jc < j[..., None], hc, 0.0)
+    t[..., 1] = best / (S - 1) * hc[..., 1]
+    # Each coefficient as its own contiguous (F, K, 3) array.
+    (ax, ay), (bx, by), (cx, cy), (ex, ey) = np.moveaxis(
+        coeffs, (2, 3), (0, 1))[:, :, frame, jc]
+    ex = ex - points[..., :1]
+    ey = ey - points[..., 1:]
+    ax3, bx2, ay3, by2 = 3.0 * ax, 2.0 * bx, 3.0 * ay, 2.0 * by
+    for _ in range(_NEWTON_ITERATIONS):
+        rx = ((ax * t + bx) * t + cx) * t + ex
+        ry = ((ay * t + by) * t + cy) * t + ey
+        vx = (ax3 * t + bx2) * t + cx
+        vy = (ay3 * t + by2) * t + cy
+        speed2 = vx * vx + vy * vy
+        hess = rx * (2.0 * ax3 * t + bx2) + ry * (2.0 * ay3 * t + by2)
+        hess += speed2
+        # Damped where the point lies beyond half the radius of curvature
+        # on the concave side: the step stays a descent step.
+        np.maximum(hess, 0.5 * speed2, out=hess)
+        t -= (rx * vx + ry * vy) / hess
+        np.clip(t, 0.0, hc, out=t)
+    dist = np.hypot(((ax * t + bx) * t + cx) * t + ex,
+                    ((ay * t + by) * t + cy) * t + ey)
+    dist = np.minimum(dist, np.hypot(ex, ey))
+    dist = np.minimum(dist, np.hypot(((ax * hc + bx) * hc + cx) * hc + ex,
+                                     ((ay * hc + by) * hc + cy) * hc + ey))
+    return dist.min(axis=2)
 
 
 def max_deviation(
     curve: SplineCurve, frame: SensorFrame
 ) -> tuple[float, float]:
-    """(max, mean) distance from the frame's points to the curve (m)."""
-    d = _nearest_distances(curve, frame.points)
+    """(max, mean) distance from the frame's points to the curve (m).
+
+    Each distance comes from a coarse scan (16 samples per spline
+    interval) and Newton refinement in the nearest sample's interval and
+    both neighbours. It is exact to rounding whenever that sample lies
+    within one interval of the true nearest curve point, which holds
+    unless a part of the curve further away along it comes within the
+    true distance plus half a sample spacing of the point.
+    """
+    coeffs = np.stack([curve.coeffs_x.T, curve.coeffs_y.T], axis=-1)
+    d = _nearest_distances(curve.knots[None], coeffs[None], frame.points[None])[0]
     return float(d.max()), float(d.mean())
 
 
@@ -328,9 +416,10 @@ def select_order(
 ) -> OrderSelectionReport:
     """Sweep candidate link counts over a frame sequence.
 
-    For each candidate n the per-frame reconstruction error is the max
-    deviation of that frame's node spline; the candidate's max_error and
-    mean_error summarize the per-frame series. The chosen order is the
+    For each candidate n (>= 2) the per-frame reconstruction error is the
+    max deviation of that frame's node spline, computed for all frames of
+    the candidate at once; the candidate's max_error and mean_error
+    summarize the per-frame series. The chosen order is the
     smallest candidate whose max_error stays below the threshold, or the
     overall argmin when none qualifies (flagged via threshold_met).
     """
@@ -340,16 +429,22 @@ def select_order(
     n_values = sorted(set(int(n) for n in n_values))
     if not n_values:
         raise InvalidInputError("need at least one candidate order")
+    if n_values[0] < 2:
+        raise InvalidInputError(
+            f"candidate orders must be >= 2, got {n_values[0]}")
     if threshold <= 0:
         raise InvalidInputError(f"threshold must be > 0, got {threshold}")
+    # One (F, K, 2) point stack; shorter frames repeat their last point,
+    # which leaves each frame's max distance unchanged.
+    width = max(len(f) for f in frames)
+    points = np.stack([
+        np.concatenate([f.points, np.repeat(f.points[-1:], width - len(f), 0)])
+        for f in frames
+    ])
     candidates = []
     for n in n_values:
-        per_frame = []
-        for frame in frames:
-            curve = spline_through(segment_frame(frame, n))
-            mx, _ = max_deviation(curve, frame)
-            per_frame.append(mx)
-        arr = np.asarray(per_frame)
+        nodes = np.stack([segment_frame(frame, n) for frame in frames])
+        arr = _nearest_distances(*_natural_spline(nodes), points).max(axis=1)
         candidates.append(
             OrderCandidate(
                 n=n,
@@ -371,33 +466,3 @@ def select_order(
         threshold=float(threshold),
         threshold_met=met,
     )
-
-
-def curvature_profile(frame: SensorFrame) -> np.ndarray:
-    """Discrete signed curvature along the frame, (K-2) x 2 of (s, 1/m).
-
-    Uses the circumscribed circle of consecutive point triples (Menger
-    curvature), positive for counter-clockwise bending; collinear
-    triples give zero. Reported at interior points with their cumulative
-    chord-length position.
-    """
-    if len(frame) < 5:
-        raise InvalidInputError(
-            f"curvature needs at least 5 points, got {len(frame)}"
-        )
-    pts = frame.points
-    s = frame.chord_lengths
-    a = pts[:-2]
-    b = pts[1:-1]
-    c = pts[2:]
-    ab = b - a
-    bc = c - b
-    ac = c - a
-    cross = ab[:, 0] * bc[:, 1] - ab[:, 1] * bc[:, 0]
-    denom = (
-        np.hypot(ab[:, 0], ab[:, 1])
-        * np.hypot(bc[:, 0], bc[:, 1])
-        * np.hypot(ac[:, 0], ac[:, 1])
-    )
-    kappa = np.where(denom > 0.0, 2.0 * cross / np.where(denom == 0, 1, denom), 0.0)
-    return np.column_stack([s[1:-1], kappa])

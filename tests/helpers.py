@@ -102,3 +102,40 @@ def circumcenter(a, b, c):
     uy = ((ax**2 + ay**2) * (cx - bx) + (bx**2 + by**2) * (ax - cx)
           + (cx**2 + cy**2) * (bx - ax)) / d
     return np.array([ux, uy])
+
+
+def exact_spline_distances(knots, coeffs, points):
+    """Exact distance from each point to a piecewise-cubic planar curve.
+
+    knots (m,), coeffs (m-1, 4, 2) in the power basis of s - knots[j],
+    highest power first, and points (K, 2); returns (K,). In every
+    interval the candidates are both ends and the real parts of all
+    roots of the quintic d/du |c(u) - p|^2 (u = (s - knot) / h), clipped
+    to [0, 1]: a superset of the interval's stationary points, so the
+    least candidate distance is the exact one. Every interval needs a
+    nonzero cubic term.
+    """
+    h = np.diff(knots)
+    # (K, J, 4, 2) coefficients of r(u) = c(u) - p, lowest power first.
+    r = coeffs[:, ::-1, :] * (h[:, None] ** np.arange(4))[..., None]
+    r = np.broadcast_to(r, (len(points),) + r.shape).copy()
+    r[:, :, 0, :] -= points[:, None, :]
+    dr = r[:, :, 1:, :] * np.arange(1, 4)[:, None]
+    # g(u) = r(u) . r'(u), degree 5, lowest power first.
+    g = np.zeros(r.shape[:2] + (6,))
+    for i in range(4):
+        for k in range(3):
+            g[..., i + k] += (r[..., i, :] * dr[..., k, :]).sum(axis=-1)
+    # Roots as companion-matrix eigenvalues; a straight interval (zero
+    # cubic term, so a zero leading coefficient) makes eigvals raise.
+    flat = g.reshape(-1, 6)
+    companion = np.zeros((len(flat), 5, 5))
+    companion[:, 1:, :-1] = np.eye(4)
+    companion[:, :, -1] = -flat[:, :5] / flat[:, 5:]
+    roots = np.linalg.eigvals(companion)
+    u = np.clip(roots.real.reshape(g.shape[:2] + (5,)), 0.0, 1.0)
+    u = np.concatenate([u, np.zeros_like(u[..., :1]), np.ones_like(u[..., :1])],
+                       axis=-1)
+    powers = u[..., None] ** np.arange(4)
+    dist = np.hypot(*np.einsum("kjup,kjpd->dkju", powers, r))
+    return dist.min(axis=(1, 2))

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bendsim
 from bendsim.cli import main
 from bendsim.dynamics import ActuatorGeometry, DynamicsParams, build_chain
 from bendsim.integrator import PressureTrace, SimConfig, simulate
@@ -65,6 +70,12 @@ class TestReconstruct:
             assert len(frame["nodes_m"]) == 3
         assert "worst max deviation" in capsys.readouterr().out
 
+    def test_one_link_rejected_up_front(self, straight_csv, tmp_path, capsys):
+        code = main(["reconstruct", "--frames", straight_csv, "--links", "1",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "--links must be >= 2, got 1" in capsys.readouterr().err
+
     def test_reference_index_out_of_range(self, straight_csv, tmp_path):
         code = main(["reconstruct", "--frames", straight_csv, "--links", "2",
                      "--reference-index", "7",
@@ -109,11 +120,13 @@ class TestSelectOrder:
                      "--out", str(tmp_path / "report.json")])
         assert code == 2
 
-    def test_min_below_one(self, straight_csv, tmp_path):
-        code = main(["select-order", "--frames", straight_csv,
-                     "--min", "0", "--max", "3", "--threshold-m", "0.003",
-                     "--out", str(tmp_path / "report.json")])
-        assert code == 2
+    def test_min_below_one(self, straight_csv, tmp_path, capsys):
+        for low in ("0", "1"):
+            code = main(["select-order", "--frames", straight_csv,
+                         "--min", low, "--max", "3", "--threshold-m", "0.003",
+                         "--out", str(tmp_path / "report.json")])
+            assert code == 2
+            assert f"--min must be >= 2, got {low}" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -296,3 +309,16 @@ class TestArgParsing:
     def test_no_arguments(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
+
+
+def test_cli_import_loads_no_scipy_solvers():
+    # A fresh interpreter: scipy.interpolate and scipy.integrate cost
+    # import time on every run; simulate imports scipy.integrate itself.
+    code = ("import sys, bendsim.cli; "
+            "print(sorted(m for m in ('scipy.interpolate', 'scipy.integrate')"
+            " if m in sys.modules))")
+    src = str(Path(bendsim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

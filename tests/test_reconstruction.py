@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bendsim import reconstruction
 from bendsim.errors import InvalidInputError
 from bendsim.kinematics import joint_positions
 from bendsim.reconstruction import (
     SensorFrame,
-    curvature_profile,
+    _natural_spline,
     fit_reference_chain,
     frame_to_joint_angles,
     max_deviation,
@@ -20,7 +21,7 @@ from bendsim.reconstruction import (
 )
 from bendsim.synthetic import chain_frame, straight_frame
 
-from helpers import random_chain
+from helpers import exact_spline_distances, random_chain
 
 # Frozen oracle: max radial deviation of the natural spline through 6
 # equally spaced nodes on a 0.1 m-radius semicircle, from a dense
@@ -33,6 +34,25 @@ def semicircle_nodes(radius=0.1, count=6):
     # CCW from the origin heading +Y, center at (-radius, 0).
     return np.column_stack([radius * np.cos(th) - radius,
                             radius * np.sin(th)])
+
+
+def curled_frames(rng, count=6, spacing=0.0008, length=0.17):
+    """Noisy dense frames bent by 1.2 pi up to 1.95 pi in total.
+
+    Curvature grows toward the tip by a seeded factor, so the frames curl
+    into spirals whose tips come back near their bases; 0.2 mm noise.
+    """
+    s = np.arange(0.0, length, spacing)
+    frames = []
+    for bend in np.linspace(1.2, 1.95, count) * math.pi:
+        weight = 1.0 + rng.uniform(0.0, 2.0) * s / length
+        heading = bend * np.cumsum(weight) / weight.sum()
+        pts = np.zeros((len(s), 2))
+        pts[1:] = np.cumsum(spacing * np.column_stack(
+            [-np.sin(heading[:-1]), np.cos(heading[:-1])]), axis=0)
+        pts[1:] += rng.normal(0.0, 2e-4, pts[1:].shape)
+        frames.append(SensorFrame(0.0, pts))
+    return frames
 
 
 def arc_frame(radius, span, count, ccw=True, time=0.0):
@@ -199,6 +219,22 @@ class TestSplineThrough:
         dev = np.abs(np.hypot(pts[:, 0] + 0.1, pts[:, 1]) - 0.1).max()
         assert dev == pytest.approx(SEMICIRCLE_SPLINE_DEVIATION, abs=1e-9)
 
+    def test_matches_scipy_natural_spline(self, rng):
+        from scipy.interpolate import CubicSpline
+
+        for m in range(3, 11):
+            nodes = np.cumsum(rng.normal(0.0, 0.02, (4, m, 2)), axis=1)
+            knots, coeffs = _natural_spline(nodes)
+            for f in range(4):
+                curve = spline_through(nodes[f])
+                np.testing.assert_array_equal(curve.knots, knots[f])
+                for k, own in ((0, curve.coeffs_x), (1, curve.coeffs_y)):
+                    ref = CubicSpline(knots[f], nodes[f, :, k],
+                                      bc_type="natural").c
+                    np.testing.assert_allclose(own, ref, rtol=1e-10,
+                                               atol=1e-12 * np.abs(ref).max())
+                    np.testing.assert_array_equal(coeffs[f, :, :, k].T, own)
+
     def test_too_few_nodes_rejected(self):
         with pytest.raises(InvalidInputError):
             spline_through(np.array([[0.0, 0.0], [0.0, 0.1]]))
@@ -238,6 +274,24 @@ class TestMaxDeviation:
         assert mx == pytest.approx(d.max(), abs=1e-6)
         assert mean == pytest.approx(d.mean(), abs=1e-6)
 
+    def test_exact_on_curled_frames(self, rng):
+        # Spirals whose tips curl back toward their bases, n = 2..8: both
+        # max_deviation and select_order's per-frame maxima must equal
+        # the quintic-root distances to rounding.
+        frames = curled_frames(rng)
+        report = select_order(frames, range(2, 9), 1e-3)
+        for n in range(2, 9):
+            for f, frame in enumerate(frames):
+                curve = spline_through(segment_frame(frame, n))
+                coeffs = np.stack([curve.coeffs_x.T, curve.coeffs_y.T], -1)
+                exact = exact_spline_distances(curve.knots, coeffs,
+                                               frame.points)
+                mx, mean = max_deviation(curve, frame)
+                assert mx == pytest.approx(exact.max(), abs=1e-12)
+                assert mean == pytest.approx(exact.mean(), abs=1e-12)
+                assert report.candidate(n).per_frame_max[f] == pytest.approx(
+                    exact.max(), abs=1e-12)
+
     def test_max_at_least_mean(self, rng):
         for _ in range(10):
             chain = random_chain(rng, 5)
@@ -275,6 +329,28 @@ class TestSelectOrder:
         assert not report.threshold_met
         assert report.chosen_n == 3  # argmin of max error
 
+    def test_frames_of_unequal_length(self, monkeypatch):
+        # One batch, then one frame per kernel call: both equal the
+        # per-frame max_deviation.
+        frames = [arc_frame(0.1, 0.6 * math.pi, count)
+                  for count in (90, 140, 120)]
+        for scan_elements in (None, 1):
+            if scan_elements is not None:
+                monkeypatch.setattr(reconstruction, "_SCAN_ELEMENTS",
+                                    scan_elements)
+            report = select_order(frames, [3, 5], 1.0)
+            for n in (3, 5):
+                for f, frame in enumerate(frames):
+                    curve = spline_through(segment_frame(frame, n))
+                    mx, _ = max_deviation(curve, frame)
+                    assert report.candidate(n).per_frame_max[f] == mx
+
+    def test_orders_below_two_rejected(self):
+        frames = [straight_frame()]
+        for orders in ([1, 2, 3], [0]):
+            with pytest.raises(InvalidInputError, match=">= 2"):
+                select_order(frames, orders, 0.003)
+
     def test_empty_frames_rejected(self):
         with pytest.raises(InvalidInputError):
             select_order([], [2, 3], 0.003)
@@ -285,38 +361,6 @@ class TestSelectOrder:
         assert report.candidate(4).n == 4
         with pytest.raises(KeyError):
             report.candidate(3)
-
-
-class TestCurvatureProfile:
-    def test_straight_line_zero(self):
-        profile = curvature_profile(straight_frame(spacing=0.01))
-        np.testing.assert_array_equal(profile[:, 1], 0.0)
-
-    def test_dense_circle_recovers_curvature(self):
-        for radius in (0.02, 0.05, 0.1):
-            count = max(int(round(1.2 * math.pi * radius / 0.0008)) + 1, 12)
-            frame = arc_frame(radius, 1.2 * math.pi, count)
-            profile = curvature_profile(frame)
-            np.testing.assert_allclose(profile[:, 1], 1.0 / radius,
-                                       rtol=0.01)
-
-    def test_semicircle_curvature_magnitude(self):
-        count = int(round(math.pi * 0.1 / 0.0008)) + 1
-        ccw = curvature_profile(arc_frame(0.1, math.pi, count, ccw=True))
-        np.testing.assert_allclose(ccw[:, 1], 10.0, atol=0.1)
-        cw = curvature_profile(arc_frame(0.1, math.pi, count, ccw=False))
-        np.testing.assert_allclose(cw[:, 1], -10.0, atol=0.1)
-
-    def test_arc_length_column_is_cumulative_chord(self):
-        frame = straight_frame(spacing=0.01, length=0.1)
-        profile = curvature_profile(frame)
-        np.testing.assert_allclose(profile[:, 0],
-                                   frame.chord_lengths[1:-1], atol=1e-15)
-
-    def test_too_few_points_rejected(self):
-        pts = np.column_stack([np.zeros(4), np.arange(4) * 0.01])
-        with pytest.raises(InvalidInputError):
-            curvature_profile(SensorFrame(0.0, pts))
 
 
 class TestSensorFrame:
