@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 I/O failure, 2 invalid input or arguments.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -41,6 +42,17 @@ __all__ = ["main"]
 
 # Identification search bounds as factors of the initial guess.
 _ID_BOUND_FACTOR = 20.0
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _load_chain(config: ModelConfig):
@@ -248,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", required=True)
     p.add_argument("--min", type=int, required=True)
     p.add_argument("--max", type=int, required=True)
-    p.add_argument("--threshold-m", type=float, required=True)
+    p.add_argument("--threshold-m", type=_finite_float, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_select_order)
 
@@ -256,8 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="integrate the chain under a pressure trace")
     p.add_argument("--config", required=True)
     p.add_argument("--pressure", required=True)
-    p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--dt-out", type=float, default=1e-3)
+    p.add_argument("--t-end", type=_finite_float, required=True)
+    p.add_argument("--dt-out", type=_finite_float, default=1e-3)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import InvalidInputError
 from .kinematics import JointState, LinkChain, LinkParams, _as_angles
@@ -174,10 +173,14 @@ class _ChainDynamics:
                   + np.diag(chain.inertias_com))
 
     def heading_inertia(self, q: np.ndarray):
-        """(dphi, H): heading differences phi_k - phi_m and inertia H."""
+        """(dphi, H): heading differences phi_k - phi_m and inertia H.
+
+        q may be a stack (..., n) of configurations; dphi and H are then
+        (..., n, n).
+        """
         # add.accumulate is cumsum without its Python-level dispatch.
-        phi = np.add.accumulate(q + self.offsets)
-        dphi = np.subtract.outer(phi, phi)
+        phi = np.add.accumulate(q + self.offsets, axis=-1)
+        dphi = phi[..., :, None] - phi[..., None, :]
         return dphi, self.J * np.cos(dphi)
 
 
@@ -218,12 +221,6 @@ def _require_matching(chain: LinkChain, params: DynamicsParams):
         )
 
 
-# LAPACK Cholesky solve (?posv) for the SPD inertia and the solve with
-# its factor (?potrs); fetched once.
-_POSV, _POTRS = get_lapack_funcs(("posv", "potrs"),
-                                 (np.empty((1, 1)), np.empty(1)))
-
-
 def eom_accel(
     chain: LinkChain,
     params: DynamicsParams,
@@ -233,8 +230,8 @@ def eom_accel(
 ) -> np.ndarray:
     """Joint accelerations qddot under bladder pressure p (Pa).
 
-    Solves M qddot = tau - (C + D) qdot - k_b q with a symmetric
-    positive-definite factorization (no explicit inverse).
+    Solves M qddot = tau - (C + D) qdot - k_b q in heading form (no
+    explicit inverse). Raises InvalidInputError when that solve fails.
     """
     _require_matching(chain, params)
     tau = pressure_torque(geometry, p)
@@ -243,7 +240,7 @@ def eom_accel(
         dyn, np.asarray(params.damping), params.k_b, tau, state.q, state.qdot
     )
     if not np.all(np.isfinite(acc)):
-        raise InvalidInputError("mass matrix is not positive definite")
+        raise InvalidInputError("mass matrix is singular or not finite")
     return acc
 
 
@@ -251,14 +248,15 @@ def _heading_form(dyn, damping, k_b, tau, q, qdot):
     """(H, S, phidot, b) of the equation of motion H phiddot = b.
 
     b = L^-T r - S (phidot o phidot) with S = J o sin dphi and the
-    joint-space force r = tau - D qdot - k_b q.
+    joint-space force r = tau - D qdot - k_b q. q and qdot may be stacks
+    (..., n) of states.
     """
     dphi, H = dyn.heading_inertia(q)
     S = dyn.J * np.sin(dphi)
-    phidot = np.add.accumulate(qdot)
+    phidot = np.add.accumulate(qdot, axis=-1)
     b = tau - damping * qdot - k_b * q
-    b[:-1] -= b[1:]
-    b -= S @ (phidot * phidot)
+    b[..., :-1] -= b[..., 1:]
+    b -= (S @ (phidot * phidot)[..., None])[..., 0]
     return H, S, phidot, b
 
 
@@ -275,15 +273,18 @@ def _accel(
     Solves H phiddot = L^-T r - (P o sin dphi)(phidot o phidot) for the
     joint-space force r = tau - D qdot - k_b q and returns
     qddot = L^-1 phiddot. Both L^-T and L^-1 are first differences, so
-    neither M nor C is formed. Returns NaNs when the Cholesky
-    factorization fails (non-finite or non-PD H), so integration-loop
-    callers surface it as divergence.
+    neither M nor C is formed. q and qdot may be stacks (..., n) of
+    states, solved in one batched call; each row equals the single-state
+    call. Returns NaNs when the solve fails (singular H), and a
+    non-finite state gives a non-finite result, so integration-loop
+    callers surface either as divergence.
     """
     H, _, _, rhs = _heading_form(dyn, damping, k_b, tau, q, qdot)
-    _, phiddot, info = _POSV(H, rhs, lower=1, overwrite_a=1, overwrite_b=1)
-    if info != 0:
+    try:
+        phiddot = np.linalg.solve(H, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
         return np.full_like(rhs, np.nan)
-    phiddot[1:] -= phiddot[:-1]
+    phiddot[..., 1:] -= phiddot[..., :-1]
     return phiddot
 
 
@@ -306,21 +307,23 @@ def _accel_jacobian(
                               - k_b L^-T]
 
     and both map to joint space through L^-1, a first difference over
-    rows. One Cholesky factorization of H serves phiddot and both
-    blocks. Returns NaNs when it fails, like `_accel`.
+    rows. One inverse of H serves phiddot and both blocks. Returns NaNs
+    when H is singular, like `_accel`.
     """
     n = len(q)
     H, S, phidot, rhs = _heading_form(dyn, damping, k_b, tau, q, qdot)
-    chol, phiddot, info = _POSV(H, rhs, lower=1, overwrite_b=1)
-    if info != 0:
+    try:
+        H_inv = np.linalg.inv(H)
+    except np.linalg.LinAlgError:
         return np.full((n, n), np.nan), np.full((n, n), np.nan)
+    phiddot = H_inv @ rhs
     w = phidot * phidot
     L = dyn.L
     L_inv_T = np.eye(n) - np.eye(n, k=1)
     d_q = ((H * w - S * phiddot) @ L + (S @ phiddot - H @ w)[:, None] * L
            - k_b * L_inv_T)
     d_qdot = -L_inv_T * damping - 2.0 * (S * phidot) @ L
-    x, info = _POTRS(chol, np.hstack((d_q, d_qdot)), lower=1, overwrite_b=1)
+    x = H_inv @ np.hstack((d_q, d_qdot))
     x[1:] -= x[:-1]
     return x[:, :n], x[:, n:]
 

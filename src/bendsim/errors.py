@@ -30,11 +30,11 @@ class ConfigError(BendsimError):
 
 
 class DivergenceError(BendsimError):
-    """Time integration produced a non-finite state. Carries the time."""
+    """Time integration failed: by default a non-finite state. Carries the time."""
 
-    def __init__(self, time: float):
+    def __init__(self, time: float, reason: str = "non-finite state"):
         self.time = time
-        super().__init__(f"simulation diverged (non-finite state) at t={time:.6g} s")
+        super().__init__(f"simulation diverged ({reason}) at t={time:.6g} s")
 
 
 class InsufficientDataError(BendsimError):

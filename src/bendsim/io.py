@@ -54,14 +54,17 @@ def _jnum(value: float) -> float:
 
 
 def _write_json(doc: dict, path_or_stream) -> None:
-    """Write doc as indented JSON plus a final newline to a path or stream."""
+    """Write doc as indented JSON plus a final newline to a path or stream.
+
+    The output is strict JSON: a NaN or infinity in doc raises ValueError
+    before anything is written.
+    """
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if hasattr(path_or_stream, "write"):
-        json.dump(doc, path_or_stream, indent=2)
-        path_or_stream.write("\n")
+        path_or_stream.write(text)
     else:
         with open(path_or_stream, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
 
 
 def _reading(path_or_stream):
@@ -322,16 +325,16 @@ def write_trajectory(trajectory: Trajectory, path_or_stream) -> None:
     """Write a trajectory as wide-format CSV, one row per sample."""
     n = trajectory.n_joints
     header = trajectory_header(n)
+    T = len(trajectory.times)
+    rows = np.column_stack((trajectory.times, trajectory.q, trajectory.qdot,
+                            trajectory.positions.reshape(T, -1)))
+    # One format string per row; '%.10g' formats a float exactly as _fmt.
+    row_format = ",".join(["%.10g"] * len(header)) + "\n"
     own = not hasattr(path_or_stream, "write")
     fh = open(path_or_stream, "w", newline="") if own else path_or_stream
     try:
         fh.write(",".join(header) + "\n")
-        for k in range(len(trajectory.times)):
-            cells = [_fmt(trajectory.times[k])]
-            cells += [_fmt(v) for v in trajectory.q[k]]
-            cells += [_fmt(v) for v in trajectory.qdot[k]]
-            cells += [_fmt(v) for v in trajectory.positions[k].ravel()]
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(row_format % tuple(row) for row in rows.tolist())
     finally:
         if own:
             fh.close()

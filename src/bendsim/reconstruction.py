@@ -432,8 +432,9 @@ def select_order(
     if n_values[0] < 2:
         raise InvalidInputError(
             f"candidate orders must be >= 2, got {n_values[0]}")
-    if threshold <= 0:
-        raise InvalidInputError(f"threshold must be > 0, got {threshold}")
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise InvalidInputError(
+            f"threshold must be finite and > 0, got {threshold}")
     # One (F, K, 2) point stack; shorter frames repeat their last point,
     # which leaves each frame's max distance unchanged.
     width = max(len(f) for f in frames)

@@ -311,14 +311,71 @@ class TestArgParsing:
         capsys.readouterr()
 
 
-def test_cli_import_loads_no_scipy_solvers():
-    # A fresh interpreter: scipy.interpolate and scipy.integrate cost
-    # import time on every run; simulate imports scipy.integrate itself.
-    code = ("import sys, bendsim.cli; "
-            "print(sorted(m for m in ('scipy.interpolate', 'scipy.integrate')"
-            " if m in sys.modules))")
+def _fresh_python(code, cwd=None):
+    """stdout and stderr of `python -c code` with bendsim on the path."""
     src = str(Path(bendsim.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout, proc.stderr
+
+
+def test_cli_import_loads_no_scipy_solvers():
+    # A fresh interpreter: scipy costs import time on every run, so the
+    # CLI loads none of it.
+    out, _ = _fresh_python(
+        "import sys, bendsim.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert out.strip() == "[]"
+
+
+def test_simulate_and_identify_runs_load_no_scipy(identify_setup, tmp_path):
+    tmp, config, frames, pressure = identify_setup
+    runs = [
+        ["simulate", "--config", config, "--pressure", pressure,
+         "--t-end", "0.3", "--dt-out", "0.01", "--out",
+         str(tmp_path / "traj.csv")],
+        ["identify", "--config", config, "--frames", frames,
+         "--pressure", pressure, "--budget", "3", "--out",
+         str(tmp_path / "fit.json")],
+    ]
+    out, _ = _fresh_python(
+        "import sys, bendsim.cli; "
+        f"codes = [bendsim.cli.main(argv) for argv in {runs!r}]; "
+        "print(codes, sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy'))")
+    assert out.strip().splitlines()[-1] == "[0, 0] []"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--dt-out", "nan"),
+    ("--dt-out", "inf"),
+    ("--dt-out", "1e-300"),
+    ("--dt-out", "5e-324"),
+    ("--t-end", "inf"),
+    ("--t-end", "nan"),
+    ("--t-end", "1e300"),
+    ("--threshold-m", "nan"),
+    ("--threshold-m", "inf"),
+    ("--threshold-m", "-inf"),
+])
+def test_non_finite_or_extreme_numbers_exit_2(flag, value, straight_csv,
+                                              one_link_config, tmp_path):
+    if flag == "--threshold-m":
+        argv = ["select-order", "--frames", straight_csv, "--min", "2",
+                "--max", "3", "--threshold-m", value]
+    else:
+        pressure = tmp_path / "zero.csv"
+        write_pressure_csv(pressure, [(0.0, 0.0)])
+        argv = ["simulate", "--config", one_link_config, "--pressure",
+                str(pressure), "--t-end", "1", flag, value]
+    out = tmp_path / "out"
+    argv += ["--out", str(out)]
+    src = str(Path(bendsim.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-m", "bendsim", *argv],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sum("error:" in line for line in proc.stderr.splitlines()) == 1
+    assert not out.exists()

@@ -217,6 +217,36 @@ class TestAccelJacobian:
             assert np.abs(exact - fd).max() <= 1e-8 * np.abs(fd).max()
 
 
+class TestStackedAccel:
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
+    def test_stack_equals_single_calls_row_for_row(self, n):
+        rng = np.random.default_rng(2000 + n)
+        chain = random_chain(rng, n)
+        dyn = _ChainDynamics(chain)
+        damping = rng.uniform(0.0, 0.05, n)
+        k_b, tau = rng.uniform(0.5, 3.0), rng.uniform(-0.2, 0.2)
+        q, qdot = rng.uniform(-0.5, 0.5, (7, n)), rng.uniform(-3.0, 3.0, (7, n))
+        stacked = _accel(dyn, damping, k_b, tau, q, qdot)
+        assert stacked.shape == (7, n)
+        for i in range(7):
+            assert np.array_equal(
+                stacked[i], _accel(dyn, damping, k_b, tau, q[i], qdot[i]))
+        nested = _accel(dyn, damping, k_b, tau, q.reshape(7, 1, n),
+                        qdot.reshape(7, 1, n))
+        assert np.array_equal(nested[:, 0], stacked)
+
+    def test_non_finite_state_gives_a_non_finite_row(self):
+        # The integrator reads any non-finite value in a stage stack as
+        # divergence.
+        chain = random_chain(np.random.default_rng(7), 4)
+        dyn = _ChainDynamics(chain)
+        q = np.zeros((3, 4))
+        q[1, 2] = np.inf
+        with np.errstate(invalid="ignore"):
+            acc = _accel(dyn, np.full(4, 0.01), 1.0, 0.1, q, np.zeros((3, 4)))
+        assert not np.isfinite(acc[1]).all()
+
+
 class TestEnergy:
     @settings(max_examples=25)
     @given(st.integers(1, 8), st.data())

@@ -1,12 +1,17 @@
 import math
+import time
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
+import bendsim.integrator as integrator
 from bendsim.dynamics import (
     DynamicsParams,
+    _accel,
+    _accel_jacobian,
+    _ChainDynamics,
     build_chain,
     eom_accel,
     mass_matrix,
@@ -41,6 +46,65 @@ def lowest_mode_state(chain, k_b, amplitude=0.1):
     _, vecs = scipy.linalg.eigh(k_b * np.eye(n), M0)
     q = vecs[:, 0] / np.abs(vecs[:, 0]).max() * amplitude
     return JointState(q=q, qdot=np.zeros(n))
+
+
+def logged_trace(seed=3, seconds=0.6):
+    """A 10 kHz, 12-bit logged pulse with ripple: ~90 pressure segments."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(int(round(seconds * 1e4))) / 1e4
+    level = 119e3 * np.clip((t - 0.05) / 2e-3, 0.0, 1.0)
+    ripple = 200.0 * np.sin(2 * np.pi * rng.uniform(5.0, 30.0, (3, 1)) * t
+                            + rng.uniform(0.0, 2 * np.pi, (3, 1))).sum(0)
+    step = 1e6 / 4096
+    p = np.round(np.where(level > 0, level + ripple, 0.0) / step) * step
+    return PressureTrace(tuple(zip(t, p)))
+
+
+def scipy_radau_per_segment(chain, params, geometry, trace, config,
+                            initial_state=None):
+    """q on the output grid from scipy's Radau, one solve per run of equal
+    pressure samples, at the module tolerances: the oracle the in-house
+    stepper ports."""
+    n = len(chain)
+    dyn = _ChainDynamics(chain)
+    damping = np.asarray(params.damping)
+    times = config.t_start + np.arange(
+        int(math.floor((config.t_end - config.t_start) * config.output_rate
+                       + 1e-9)) + 1) / config.output_rate
+    t_stop = max(config.t_end, times[-1])
+    inside = (trace.times > config.t_start) & (trace.times < t_stop)
+    edges = np.concatenate(([config.t_start], trace.times[inside]))
+    values = np.concatenate(([pressure_at(trace, config.t_start)],
+                             trace.pressures[inside]))
+    keep = np.concatenate(([True], values[1:] != values[:-1]))
+    edges, values = edges[keep], values[keep]
+    ends = np.append(edges[1:], t_stop)
+
+    def rhs(t, y, tau):
+        return np.concatenate(
+            (y[n:], _accel(dyn, damping, params.k_b, tau, y[:n], y[n:])))
+
+    def jac(t, y, tau):
+        d_q, d_qdot = _accel_jacobian(dyn, damping, params.k_b, tau, y[:n],
+                                      y[n:])
+        return np.block([[np.zeros((n, n)), np.eye(n)], [d_q, d_qdot]])
+
+    if initial_state is None:
+        initial_state = JointState(q=np.zeros(n), qdot=np.zeros(n))
+    y = np.concatenate((initial_state.q, initial_state.qdot))
+    atol = np.repeat([integrator._ATOL_Q, integrator._ATOL_QDOT], n)
+    states = np.empty((len(times), 2 * n))
+    for t0, t1, p in zip(edges, ends, values):
+        sol = solve_ivp(rhs, (t0, t1), y, method="Radau",
+                        rtol=integrator._RTOL, atol=atol, jac=jac,
+                        dense_output=True,
+                        args=(pressure_torque(geometry, p),))
+        assert sol.success
+        at = (times >= t0) & (times <= t1)
+        if at.any():
+            states[at] = sol.sol(times[at]).T
+        y = sol.y[:, -1]
+    return states[:, :n]
 
 
 class TestPressureAt:
@@ -234,6 +298,62 @@ class TestSimulate:
             positions_at(traj, 0.6)
 
 
+class TestRadauStepper:
+    @pytest.mark.parametrize("case", ["pulse", "logged", "moving_start"])
+    def test_matches_scipy_radau_per_segment(self, case, bench_chain,
+                                             bench_params, bench_geometry,
+                                             bench_pulse):
+        init = None
+        if case == "pulse":
+            trace, config = bench_pulse, SimConfig(t_end=3.0, output_rate=1000)
+        elif case == "logged":
+            trace, config = logged_trace(), SimConfig(t_end=0.6,
+                                                      output_rate=1000)
+            assert len(integrator._zoh_segments(trace, 0.0, 0.6)[0]) >= 50
+        else:
+            trace, config = bench_pulse, SimConfig(t_end=1.0, output_rate=500)
+            mode = lowest_mode_state(bench_chain, bench_params.k_b)
+            init = JointState(q=mode.q, qdot=np.linspace(-2.0, 2.0, 5))
+        traj = simulate(bench_chain, bench_params, bench_geometry, trace,
+                        config, initial_state=init)
+        q_ref = scipy_radau_per_segment(bench_chain, bench_params,
+                                        bench_geometry, trace, config,
+                                        initial_state=init)
+        assert np.abs(traj.q - q_ref).max() <= 1e-7
+
+    def test_output_on_a_pressure_edge_is_the_edge_state(
+        self, bench_chain, bench_params, bench_geometry
+    ):
+        # The window ending at the falling edge steps exactly as the
+        # longer one up to it, so its last sample is the state there.
+        trace = PressureTrace(((0.0, 0.0), (0.05, 119e3), (0.2, 0.0)))
+        longer = simulate(bench_chain, bench_params, bench_geometry, trace,
+                          SimConfig(t_end=0.3, output_rate=1000))
+        upto = simulate(bench_chain, bench_params, bench_geometry, trace,
+                        SimConfig(t_end=0.2, output_rate=1000))
+        (k,) = np.flatnonzero(longer.times == 0.2)
+        assert np.any(upto.q[-1] != 0.0)
+        assert np.array_equal(longer.q[k], upto.q[-1])
+        assert np.array_equal(longer.qdot[k], upto.qdot[-1])
+
+    def test_work_cap_stops_a_runaway_solve(self, bench_geometry):
+        # A 6 MHz mode, deflected: resolving it needs ~1e8 steps per
+        # simulated second. Without a cap this window runs for days.
+        chain = build_chain(bench_geometry, 1)
+        params = DynamicsParams.uniform(1e12, 0.0, 1)
+        init = JointState(q=np.array([0.1]), qdot=np.zeros(1))
+        start = time.perf_counter()
+        with pytest.raises(DivergenceError) as err:
+            simulate(chain, params, bench_geometry, ZERO_TRACE,
+                     SimConfig(t_end=1.0, output_rate=100), initial_state=init)
+        elapsed = time.perf_counter() - start
+        cap = integrator._MAX_STEPS_PER_S + integrator._MAX_STEPS_PER_SEGMENT
+        assert f"work cap of {cap} step attempts" in str(err.value)
+        assert 0.0 < err.value.time < 1e-3
+        # About 7 s on a 2-core VM.
+        assert elapsed < 60.0
+
+
 class TestDominantFrequency:
     def test_synthetic_decaying_sine(self):
         t = np.arange(0, 3.0, 1e-3)
@@ -273,6 +393,20 @@ class TestConfigValidation:
             SimConfig(t_start=1.0, t_end=0.5)
         with pytest.raises(InvalidInputError):
             SimConfig(output_rate=0.0)
+
+    @pytest.mark.parametrize("field", ["t_start", "t_end", "output_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_sim_config_rejects_non_finite(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            SimConfig(**{field: value})
+
+    def test_sim_config_caps_the_output_grid(self):
+        SimConfig(t_end=9.0, output_rate=1e6)
+        for t_end, rate in ((10.0, 1e6), (1.0, 1e300), (1e300, 1e3)):
+            with pytest.raises(InvalidInputError) as err:
+                SimConfig(t_end=t_end, output_rate=rate)
+            assert "t_end" in str(err.value)
+            assert "output_rate" in str(err.value)
 
     def test_trajectory_requires_consistent_shapes(self):
         t = np.array([0.0, 0.1])

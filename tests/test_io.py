@@ -9,6 +9,8 @@ from bendsim.errors import ConfigError, ParseError
 from bendsim.integrator import Trajectory
 from bendsim.io import (
     ModelConfig,
+    _fmt,
+    _write_json,
     config_to_dict,
     parse_config,
     parse_frames,
@@ -316,6 +318,47 @@ class TestTrajectory:
         lines[3] = ",".join(swapped)
         with pytest.raises(ParseError):
             read_trajectory(io.StringIO("\n".join(lines) + "\n"))
+
+
+    def test_rows_match_the_cell_by_cell_formatter(self, rng):
+        # Reference: every cell through _fmt, as the writer did before it
+        # formatted whole rows; signed zero and extreme magnitudes included.
+        traj = make_trajectory(rng, n=3, T=60)
+        specials = np.array([-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300,
+                             5e-324, 0.1, 1 / 3, 123456789.123])
+        q = traj.q.copy()
+        positions = traj.positions.copy()
+        q.flat[rng.choice(q.size, 30, replace=False)] = rng.choice(specials, 30)
+        positions.flat[rng.choice(positions.size, 30, replace=False)] = (
+            rng.choice(specials, 30))
+        traj = Trajectory(times=traj.times, q=q, qdot=traj.qdot,
+                          positions=positions)
+        expected = [",".join(trajectory_header(3))]
+        for k in range(len(traj.times)):
+            cells = [_fmt(traj.times[k])]
+            cells += [_fmt(v) for v in traj.q[k]]
+            cells += [_fmt(v) for v in traj.qdot[k]]
+            cells += [_fmt(v) for v in traj.positions[k].ravel()]
+            expected.append(",".join(cells))
+        buf = io.StringIO()
+        write_trajectory(traj, buf)
+        assert buf.getvalue() == "\n".join(expected) + "\n"
+        assert "-0," in buf.getvalue() and "1e+300" in buf.getvalue()
+
+
+class TestJsonWriter:
+    def test_non_finite_values_are_refused_before_writing(self, tmp_path):
+        path = tmp_path / "doc.json"
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                _write_json({"value": [1.0, bad]}, path)
+            assert not path.exists()
+
+    def test_finite_document_round_trips(self):
+        buf = io.StringIO()
+        _write_json({"a": [1.5, -0.0], "b": "x"}, buf)
+        assert buf.getvalue().endswith("}\n")
+        assert json.loads(buf.getvalue()) == {"a": [1.5, -0.0], "b": "x"}
 
 
 class TestReport:

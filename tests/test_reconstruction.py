@@ -323,6 +323,11 @@ class TestSelectOrder:
             errors.append(mx)
         assert all(b <= a + 1e-15 for a, b in zip(errors, errors[1:]))
 
+    @pytest.mark.parametrize("threshold", [0.0, -1e-3, math.nan, math.inf])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        with pytest.raises(InvalidInputError, match="threshold"):
+            select_order([straight_frame(time=0.0)], [2, 3], threshold)
+
     def test_threshold_not_met_flag(self):
         frame = arc_frame(0.1, math.pi, 200)
         report = select_order([frame], [2, 3], 1e-9)
