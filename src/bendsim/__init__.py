@@ -52,7 +52,6 @@ from .kinematics import (
     LinkParams,
     PlanarPose,
     body_velocities,
-    com_positions,
     forward_kinematics,
     joint_positions,
 )

@@ -159,20 +159,13 @@ def cmd_identify(args) -> int:
         )
     chain = _load_chain(config)
     init = config.params
-    if len(set(init.damping)) != 1:
-        raise InvalidInputError(
-            "identification needs a uniform initial damping in the config"
-        )
     bounds = [
         (init.k_b / _ID_BOUND_FACTOR, init.k_b * _ID_BOUND_FACTOR),
         (init.damping[0] / _ID_BOUND_FACTOR,
          init.damping[0] * _ID_BOUND_FACTOR),
     ]
-    t_last = max(frame_times)
-    sim_config = SimConfig(t_end=t_last if t_last > 0 else 1.0,
-                           output_rate=500.0)
     result = identify(chain, config.geometry, frames, trace, init, bounds,
-                      budget=args.budget, config=sim_config)
+                      budget=args.budget)
     fitted = ModelConfig(
         geometry=config.geometry,
         n_links=config.n_links,

@@ -2,9 +2,12 @@
 
 The objective simulates the chain under the recorded pressure input and
 scores the RMS distance between simulated joint positions and the node
-points segmented from each measured frame. A derivative-free
-Nelder-Mead search over (k_b, damping) minimizes it; damping is a
-single shared scalar by default, optionally one value per joint.
+points segmented from each measured frame. The simulated state at each
+frame time is read from the stepper's collocation polynomials, so the
+score has no output grid and no interpolation between samples. A
+derivative-free Nelder-Mead search over (k_b, damping) minimizes it;
+damping is a single shared scalar by default, optionally one value per
+joint.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ import numpy as np
 
 from .dynamics import ActuatorGeometry, DynamicsParams
 from .errors import DivergenceError, InvalidInputError
-from .integrator import SimConfig, positions_at, simulate
-from .kinematics import LinkChain
+from .integrator import _states_at
+from .kinematics import LinkChain, joint_positions
 from .reconstruction import segment_frame
 
 __all__ = [
@@ -66,35 +69,29 @@ def objective(
     geometry: ActuatorGeometry,
     frames,
     trace,
-    config: SimConfig,
 ) -> ObjectiveResult:
     """RMS distance (m) between simulated and measured joint positions.
 
-    The chain is simulated from rest under the pressure trace; at each
-    frame time the simulated joint positions (linearly interpolated
-    between output samples) are compared against the frame's segmented
-    nodes, all n moving joints weighted equally. Divergent simulations
-    score a fixed large penalty instead of raising.
+    The chain is simulated from rest under the pressure trace over
+    [0, last frame time]. The state at each frame time is read from the
+    stepper's collocation polynomials, with no output grid and no
+    interpolation, and its joint positions are compared against the
+    frame's segmented nodes, all n moving joints weighted equally.
+    Divergent simulations score a fixed large penalty instead of
+    raising.
     """
     frames = list(frames)
     if not frames:
         raise InvalidInputError("need at least one frame")
     n = len(chain)
     times, targets = _frame_targets(frames, n)
-    if times.min() < config.t_start or times.max() > config.t_end:
-        raise InvalidInputError(
-            "frame times fall outside the simulation span "
-            f"[{config.t_start}, {config.t_end}]"
-        )
     try:
-        traj = simulate(chain, params, geometry, trace, config)
+        states = _states_at(chain, params, geometry, trace, 0.0,
+                            float(times.max()), times)
     except DivergenceError:
         return ObjectiveResult(value=_DIVERGENCE_PENALTY, diverged=True)
-    sq = 0.0
-    for t, nodes in zip(times, targets):
-        pos = positions_at(traj, t)[1:]
-        sq += float(((pos - nodes) ** 2).sum())
-    rms = float(np.sqrt(sq / (len(frames) * n)))
+    positions = joint_positions(chain, states[:, :n])[:, 1:]
+    rms = float(np.sqrt(((positions - targets) ** 2).sum() / (len(frames) * n)))
     return ObjectiveResult(value=rms)
 
 
@@ -116,7 +113,6 @@ def identify(
     init: DynamicsParams,
     bounds,
     budget: int,
-    config: SimConfig | None = None,
     per_joint: bool = False,
 ) -> IdentificationResult:
     """Nelder-Mead fit of (k_b, damping) to measured frames.
@@ -153,9 +149,6 @@ def identify(
         )
     if np.any(lo > hi) or np.any(x0 < lo) or np.any(x0 > hi):
         raise InvalidInputError("bounds must contain the initial guess")
-    if config is None:
-        t_last = max(f.time for f in frames)
-        config = SimConfig(t_end=t_last if t_last > 0 else 1.0)
 
     def to_params(x: np.ndarray) -> DynamicsParams:
         if per_joint:
@@ -169,8 +162,8 @@ def identify(
 
     def evaluate(x: np.ndarray) -> float:
         x = np.clip(x, lo, hi)
-        value = objective(to_params(x), chain, geometry, frames, trace,
-                          config).value
+        value = objective(to_params(x), chain, geometry, frames,
+                          trace).value
         evaluations.append((tuple(float(v) for v in x), value))
         if value < state["best_f"]:
             state["best_f"] = value

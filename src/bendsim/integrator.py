@@ -14,9 +14,10 @@ constant torque, one per run of equal pressure samples. One loop steps
 through all of them: every pressure change is a hard breakpoint, where
 the stepper takes the new torque and a fresh Jacobian, drops the
 predictor and keeps its step size. Each accepted step keeps its cubic
-collocation polynomial, and the output grid is read from them in one
-pass at the end. Damping makes the chain stiff: the stable step of an
-explicit method falls roughly as n^-4 with the link count n.
+collocation polynomial, and the requested times (simulate's output
+grid, or the frame times that identification scores) are read from
+them in one pass at the end. Damping makes the chain stiff: the stable
+step of an explicit method falls roughly as n^-4 with the link count n.
 """
 
 from __future__ import annotations
@@ -435,25 +436,21 @@ def _radau(rhs, jac, t, y, ends, taus, atol, max_attempts):
     return np.array(ts), np.array(hs), np.array(ys), np.array(Qs)
 
 
-def simulate(
+def _states_at(
     chain: LinkChain,
     params: DynamicsParams,
     geometry: ActuatorGeometry,
     trace: PressureTrace,
-    config: SimConfig,
+    t_start: float,
+    t_stop: float,
+    times: np.ndarray,
     initial_state: JointState | None = None,
-) -> Trajectory:
-    """Integrate the equation of motion over the configured window.
+) -> np.ndarray:
+    """(len(times), 2n) states (q, qdot) at times inside [t_start, t_stop].
 
-    Starts from rest at the reference shape (q = qdot = 0) unless an
-    initial state is given. One Radau IIA loop steps through every
-    constant-pressure segment; outputs come from the accepted steps'
-    collocation polynomials. Results are deterministic for fixed
-    inputs. Raises DivergenceError with the start of the step in which
-    the state, its rhs or its Jacobian stopped being finite, or the
-    step size underflowed, or the step attempts exceeded the work cap
-    (_MAX_STEPS_PER_S per simulated second plus _MAX_STEPS_PER_SEGMENT
-    per segment).
+    Integrates from t_start to t_stop and reads each time from the
+    collocation polynomial of the accepted step that covers it. A
+    zero-length window reads the initial state at every time.
     """
     _require_matching(chain, params)
     n = len(chain)
@@ -463,14 +460,14 @@ def simulate(
         raise InvalidInputError(
             f"initial state has {len(initial_state)} joints, chain has {n}"
         )
+    y0 = np.concatenate((initial_state.q, initial_state.qdot))
+    if t_stop == t_start:
+        return np.tile(y0, (len(times), 1))
 
-    out_times = _output_times(config)
-    # The last output time may round to just past t_end.
-    t_stop = max(config.t_end, float(out_times[-1]))
-    edges, pressures = _zoh_segments(trace, config.t_start, t_stop)
+    edges, pressures = _zoh_segments(trace, t_start, t_stop)
     ends = np.append(edges[1:], t_stop).tolist()
     taus = [pressure_torque(geometry, p) for p in pressures]
-    max_attempts = math.ceil(_MAX_STEPS_PER_S * (t_stop - config.t_start)
+    max_attempts = math.ceil(_MAX_STEPS_PER_S * (t_stop - t_start)
                              + _MAX_STEPS_PER_SEGMENT * len(edges))
 
     dyn = _ChainDynamics(chain)
@@ -495,19 +492,44 @@ def simulate(
             raise DivergenceError(float(t))
         return J
 
-    t0 = float(config.t_start)
-    y0 = np.concatenate((initial_state.q, initial_state.qdot))
     with np.errstate(over="ignore", invalid="ignore"):
-        t_rec, h_rec, y_rec, Q_rec = _radau(rhs, jac, t0, y0, ends, taus,
-                                            atol, max_attempts)
+        t_rec, h_rec, y_rec, Q_rec = _radau(rhs, jac, float(t_start), y0,
+                                            ends, taus, atol, max_attempts)
 
-    # One pass over the output grid: the step that starts at or before
-    # each output time, evaluated at its fraction x of that step.
-    k = np.searchsorted(t_rec, out_times, side="right") - 1
-    x = (out_times - t_rec[k]) / h_rec[k]
+    # One pass over the times: the step that starts at or before each
+    # time, evaluated at its fraction x of that step.
+    k = np.searchsorted(t_rec, times, side="right") - 1
+    x = (times - t_rec[k]) / h_rec[k]
     powers = np.stack((x, x * x, x * x * x), axis=-1)
-    states = y_rec[k] + (Q_rec[k] @ powers[..., None])[..., 0]
+    return y_rec[k] + (Q_rec[k] @ powers[..., None])[..., 0]
 
+
+def simulate(
+    chain: LinkChain,
+    params: DynamicsParams,
+    geometry: ActuatorGeometry,
+    trace: PressureTrace,
+    config: SimConfig,
+    initial_state: JointState | None = None,
+) -> Trajectory:
+    """Integrate the equation of motion over the configured window.
+
+    Starts from rest at the reference shape (q = qdot = 0) unless an
+    initial state is given. One Radau IIA loop steps through every
+    constant-pressure segment; outputs come from the accepted steps'
+    collocation polynomials. Results are deterministic for fixed
+    inputs. Raises DivergenceError with the start of the step in which
+    the state, its rhs or its Jacobian stopped being finite, or the
+    step size underflowed, or the step attempts exceeded the work cap
+    (_MAX_STEPS_PER_S per simulated second plus _MAX_STEPS_PER_SEGMENT
+    per segment).
+    """
+    out_times = _output_times(config)
+    # The last output time may round to just past t_end.
+    t_stop = max(config.t_end, float(out_times[-1]))
+    states = _states_at(chain, params, geometry, trace, config.t_start,
+                        t_stop, out_times, initial_state)
+    n = len(chain)
     qs = states[:, :n]
     qds = states[:, n:]
     positions = joint_positions(chain, qs)
@@ -548,22 +570,16 @@ def dominant_frequency(
     x = x - x.mean()
     if np.max(np.abs(x)) == 0.0:
         raise InsufficientDataError("signal is constant over the window")
-    sign = np.sign(x)
     # Upward crossings: strictly negative to strictly positive, linearly
     # interpolated; samples exactly at zero defer to the next interval.
-    crossings = []
-    prev_idx = None
-    for i in range(len(x)):
-        if sign[i] == 0:
-            continue
-        if prev_idx is not None and sign[prev_idx] < 0 and sign[i] > 0:
-            ta, xa = t[prev_idx], x[prev_idx]
-            tb, xb = t[i], x[i]
-            crossings.append(ta + (tb - ta) * (-xa) / (xb - xa))
-        prev_idx = i
+    nonzero = x != 0.0
+    t, x = t[nonzero], x[nonzero]
+    up = np.flatnonzero((x[:-1] < 0) & (x[1:] > 0))
+    ta, xa, tb, xb = t[up], x[up], t[up + 1], x[up + 1]
+    crossings = ta + (tb - ta) * (-xa) / (xb - xa)
     if len(crossings) < 2:
         raise InsufficientDataError(
             f"found {len(crossings)} upward zero crossings, need at least 2"
         )
-    spacing = np.diff(np.asarray(crossings)).mean()
+    spacing = np.diff(crossings).mean()
     return float(1.0 / spacing)

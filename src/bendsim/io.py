@@ -69,8 +69,8 @@ def _write_json(doc: dict, path_or_stream) -> None:
 
 def _reading(path_or_stream):
     if hasattr(path_or_stream, "read"):
-        return _io.StringIO(path_or_stream.read()), None
-    return open(path_or_stream, "r", newline=""), str(path_or_stream)
+        return _io.StringIO(path_or_stream.read())
+    return open(path_or_stream, "r", newline="")
 
 
 def _cell_float(raw: str, column: str, line: int) -> float:
@@ -103,7 +103,7 @@ def parse_frames(path_or_stream) -> list[SensorFrame]:
     within it and frame times must strictly increase. An optional z_m
     column is checked against the planarity bound and then dropped.
     """
-    stream, _ = _reading(path_or_stream)
+    stream = _reading(path_or_stream)
     with stream:
         rows = csv.reader(stream)
         header = _check_header(next(rows, None), (FRAME_HEADER, FRAME_HEADER_Z))
@@ -172,7 +172,7 @@ def parse_frames(path_or_stream) -> list[SensorFrame]:
 
 def parse_pressure(path_or_stream) -> PressureTrace:
     """Read a pressure trace from CSV with strictly increasing times."""
-    stream, _ = _reading(path_or_stream)
+    stream = _reading(path_or_stream)
     with stream:
         rows = csv.reader(stream)
         _check_header(next(rows, None), (PRESSURE_HEADER,))
@@ -239,7 +239,7 @@ def _positive_number(value, path: str) -> float:
 
 def parse_config(path_or_stream) -> ModelConfig:
     """Read a model config from JSON, validating every field."""
-    stream, _ = _reading(path_or_stream)
+    stream = _reading(path_or_stream)
     with stream:
         try:
             doc = json.load(stream)
@@ -342,7 +342,7 @@ def write_trajectory(trajectory: Trajectory, path_or_stream) -> None:
 
 def read_trajectory(path_or_stream) -> Trajectory:
     """Read a trajectory CSV written by write_trajectory."""
-    stream, _ = _reading(path_or_stream)
+    stream = _reading(path_or_stream)
     with stream:
         rows = csv.reader(stream)
         header = next(rows, None)

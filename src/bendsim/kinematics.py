@@ -266,12 +266,3 @@ def body_velocities(chain: LinkChain, state: JointState) -> list[BodyVelocity]:
         v_body = rotation(-phi[i]) @ tip_vel[i]
         out.append(BodyVelocity(omega=float(phidot[i]), v=v_body))
     return out
-
-
-def com_positions(chain: LinkChain, q) -> np.ndarray:
-    """n x 2 array of link center-of-mass positions in the task frame."""
-    phi = absolute_angles(chain, q)
-    joints = joint_positions(chain, q)
-    u = np.column_stack([-np.sin(phi), np.cos(phi)])
-    return joints[:-1] + chain.com_distances[:, None] * u
-

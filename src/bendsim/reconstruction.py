@@ -132,22 +132,6 @@ class SplineCurve:
             out[..., k] = val
         return out
 
-    def derivative(self, s, order: int = 1) -> np.ndarray:
-        """First or second parameter derivative at s; shape (..., 2)."""
-        s = np.asarray(s, dtype=float)
-        idx = np.clip(np.searchsorted(self.knots, s, side="right") - 1, 0,
-                      len(self.knots) - 2)
-        ds = s - self.knots[idx]
-        out = np.empty(s.shape + (2,))
-        for k, c in ((0, self.coeffs_x), (1, self.coeffs_y)):
-            if order == 1:
-                out[..., k] = (3 * c[0, idx] * ds + 2 * c[1, idx]) * ds + c[2, idx]
-            elif order == 2:
-                out[..., k] = 6 * c[0, idx] * ds + 2 * c[1, idx]
-            else:
-                raise InvalidInputError("order must be 1 or 2")
-        return out
-
 
 @dataclass(frozen=True)
 class OrderCandidate:

@@ -5,7 +5,7 @@ import numpy as np
 from bendsim.kinematics import (
     LinkChain,
     LinkParams,
-    com_positions,
+    absolute_angles,
     joint_positions,
 )
 
@@ -31,6 +31,14 @@ def random_chain(rng, n=None, curved=True):
         for l, o, m in zip(lengths, offsets, masses)
     )
     return LinkChain(links)
+
+
+def com_positions(chain, q):
+    """n x 2 array of link center-of-mass positions in the task frame."""
+    phi = absolute_angles(chain, q)
+    joints = joint_positions(chain, q)
+    u = np.column_stack([-np.sin(phi), np.cos(phi)])
+    return joints[:-1] + chain.com_distances[:, None] * u
 
 
 def com_jacobians(chain, q):

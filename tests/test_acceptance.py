@@ -266,7 +266,7 @@ def test_criterion_8_identification_recovery(bench_chain, bench_params,
                                   bench_params.damping[0] * 0.5, 5)
     bounds = [(0.1, 20.0), (1e-4, 0.5)]
     result = identify(bench_chain, bench_geometry, frames, bench_pulse,
-                      init, bounds, budget=200, config=config)
+                      init, bounds, budget=200)
 
     k_err = abs(result.params.k_b - bench_params.k_b) / bench_params.k_b
     d_err = (abs(result.params.damping[0] - bench_params.damping[0])

@@ -363,6 +363,16 @@ class TestDominantFrequency:
         freq = dominant_frequency(traj, 0, (0.0, 3.0))
         assert freq == pytest.approx(5.0, abs=0.05)
 
+    def test_sample_at_zero_defers_to_next_interval(self):
+        # Zero-mean samples -1, 0, 3 then -1, 3: the first upward crossing
+        # interpolates from -1 to 3 (t = 0.5), skipping the zero at t = 1,
+        # and the second falls at t = 3.25.
+        t = np.arange(6.0)
+        q = np.array([-1.0, 0.0, 3.0, -1.0, 3.0, -4.0])[:, None]
+        traj = Trajectory(times=t, q=q, qdot=np.zeros_like(q),
+                          positions=np.zeros((len(t), 2, 2)))
+        assert dominant_frequency(traj, 0, (0.0, 5.0)) == 1 / 2.75
+
     def test_constant_signal_is_insufficient(self):
         t = np.arange(0, 1.0, 1e-3)
         q = np.full((len(t), 1), 0.25)

@@ -13,7 +13,6 @@ from bendsim.kinematics import (
     PlanarPose,
     absolute_angles,
     body_velocities,
-    com_positions,
     forward_kinematics,
     joint_positions,
 )
@@ -21,6 +20,7 @@ from bendsim.kinematics import (
 from helpers import (
     circumcenter,
     com_jacobians,
+    com_positions,
     product_form_poses,
     random_chain,
 )

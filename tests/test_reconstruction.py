@@ -204,13 +204,14 @@ class TestSplineThrough:
                 )
                 right = (b0, b1, 2 * b2)
                 np.testing.assert_allclose(left, right, atol=1e-9)
-        # Natural end conditions: vanishing second derivative.
-        np.testing.assert_allclose(
-            curve.derivative(curve.s_min, 2), 0.0, atol=1e-9
-        )
-        np.testing.assert_allclose(
-            curve.derivative(curve.s_max, 2), 0.0, atol=1e-9
-        )
+        # Natural end conditions: vanishing second derivative, 2 b2 at
+        # s_min and 6 a3 h + 2 a2 at s_max.
+        h = curve.knots[-1] - curve.knots[-2]
+        for coeffs in (curve.coeffs_x, curve.coeffs_y):
+            b2 = coeffs[1, 0]
+            a3, a2 = coeffs[:2, -1]
+            np.testing.assert_allclose([2 * b2, 6 * a3 * h + 2 * a2], 0.0,
+                                       atol=1e-9)
 
     def test_semicircle_deviation_frozen_oracle(self):
         curve = spline_through(semicircle_nodes())
