@@ -39,11 +39,12 @@ def _frame_times(trajectory: Trajectory, times) -> np.ndarray:
 
 
 def node_frames_from_trajectory(trajectory: Trajectory, times) -> list[SensorFrame]:
-    """Frames whose points are exactly the joint positions at each time.
+    """Frames whose points are the trajectory's joint positions at each time.
 
     With K = n+1 points for an n-link chain, segmentation returns the
-    points unchanged, so these frames reproduce the generating motion
-    with no discretization error. Used for self-consistency fixtures.
+    points unchanged. Positions are interpolated linearly between output
+    samples, so a frame is an exact state of the motion only at a grid
+    time. Used for self-consistency fixtures.
     """
     times = _frame_times(trajectory, times)
     return [SensorFrame(float(t), positions_at(trajectory, t)) for t in times]

@@ -222,6 +222,22 @@ class TestIdentify:
                      "--out", str(tmp_path / "fit.json")])
         assert code == 2
 
+    def test_zero_damping_is_held_fixed(self, identify_setup, tmp_path):
+        # Damping 0 gives the bounds (0, 0): k_b is fitted alone.
+        tmp, _, frames, pressure = identify_setup
+        config = tmp_path / "config.json"
+        write_config(ModelConfig(geometry=GEOMETRY, n_links=3,
+                                 params=DynamicsParams.uniform(2.0, 0.0, 3)),
+                     config)
+        out = tmp_path / "fit.json"
+        code = main(["identify", "--config", str(config), "--frames", frames,
+                     "--pressure", pressure, "--budget", "4",
+                     "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["params"]["damping"] == [0.0] * 3
+        assert doc["n_evaluations"] == 4
+
     def test_disjoint_time_ranges(self, identify_setup, tmp_path):
         tmp, config, frames, _ = identify_setup
         late = tmp_path / "late.csv"
