@@ -5,9 +5,9 @@ scores the RMS distance between simulated joint positions and the node
 points segmented from each measured frame. The simulated state at each
 frame time is read from the stepper's collocation polynomials, so the
 score has no output grid and no interpolation between samples. A
-Levenberg-Marquardt fit over (k_b, damping) in log space minimizes the
-residual behind that score; damping is a single shared scalar by
-default, optionally one value per joint.
+derivative-free Nelder-Mead search over (k_b, damping) minimizes it;
+damping is a single shared scalar by default, optionally one value per
+joint.
 """
 
 from __future__ import annotations
@@ -29,15 +29,11 @@ __all__ = [
     "identify",
 ]
 
-# Objective value reported when the simulation blows up: large enough to
-# rank below any real fit, finite so logs and JSON stay numeric.
+# Objective value substituted when the simulation blows up: large enough
+# that the search backs away, finite so the simplex stays well formed.
 _DIVERGENCE_PENALTY = 1e6
 
-# Levenberg-Marquardt constants, in log units of the parameters. A step
-# must lower the RMS by more than _MIN_DECREASE relative, so a fit at the
-# optimum does not chase solver rounding.
-_FD_STEP, _STEP_TOL, _MIN_DECREASE = 1e-4, 1e-6, 1e-12
-_LAMBDA0, _LAMBDA_DOWN, _LAMBDA_UP = 1e-3, 3.0, 4.0
+_CONVERGENCE_DIAMETER = 1e-6
 
 
 @dataclass(frozen=True)
@@ -67,19 +63,17 @@ def _frame_targets(frames, n: int) -> tuple[np.ndarray, np.ndarray]:
     return times, nodes
 
 
-def _residual(params, chain, geometry, trace, times, targets) -> np.ndarray:
-    """(F, n, 2) simulated minus measured joint positions.
-
-    One simulation from rest over [0, last frame time]; raises
-    DivergenceError when it blows up.
-    """
-    states = _states_at(chain, params, geometry, trace, 0.0,
-                        float(times.max()), times)
-    return joint_positions(chain, states[:, :len(chain)])[:, 1:] - targets
-
-
-def _rms(residual: np.ndarray) -> float:
-    return float(np.sqrt((residual ** 2).sum() / residual[..., 0].size))
+def _score(params, chain, geometry, trace, times, targets) -> ObjectiveResult:
+    """RMS gap between simulated joint positions and the target nodes."""
+    n = len(chain)
+    try:
+        states = _states_at(chain, params, geometry, trace, 0.0,
+                            float(times.max()), times)
+    except DivergenceError:
+        return ObjectiveResult(value=_DIVERGENCE_PENALTY, diverged=True)
+    positions = joint_positions(chain, states[:, :n])[:, 1:]
+    rms = float(np.sqrt(((positions - targets) ** 2).sum() / (len(times) * n)))
+    return ObjectiveResult(value=rms)
 
 
 def objective(
@@ -103,11 +97,17 @@ def objective(
     if not frames:
         raise InvalidInputError("need at least one frame")
     times, targets = _frame_targets(frames, len(chain))
-    try:
-        residual = _residual(params, chain, geometry, trace, times, targets)
-    except DivergenceError:
-        return ObjectiveResult(value=_DIVERGENCE_PENALTY, diverged=True)
-    return ObjectiveResult(value=_rms(residual))
+    return _score(params, chain, geometry, trace, times, targets)
+
+
+def _initial_simplex(x0: np.ndarray) -> np.ndarray:
+    simplex = np.tile(x0, (len(x0) + 1, 1))
+    for i in range(len(x0)):
+        if x0[i] != 0.0:
+            simplex[i + 1, i] *= 1.05
+        else:
+            simplex[i + 1, i] = 0.00025
+    return simplex
 
 
 def identify(
@@ -120,21 +120,16 @@ def identify(
     budget: int,
     per_joint: bool = False,
 ) -> IdentificationResult:
-    """Levenberg-Marquardt fit of (k_b, damping) to measured frames.
+    """Nelder-Mead fit of (k_b, damping) to measured frames.
 
-    The frames are segmented once. Each free variable is fitted as its
-    log, clipped to the log of its bounds, with forward-difference
-    Jacobians and Marquardt's diagonal scaling (Marquardt 1963; Moré
-    1978); a diverged trial step counts as rejected. A variable with
-    equal bounds is held fixed; every other one must start above 0.
+    The frames are segmented once per fit. Candidates are clipped to
+    bounds before evaluation, so every probed parameter set is feasible.
+    The search stops when the simplex diameter falls below 1e-6 or the
+    evaluation budget runs out; the best evaluated point is returned
+    either way. Deterministic: no randomized restarts.
 
-    budget counts every simulation, the finite-difference ones included;
-    the first evaluates init itself. The fit stops early with converged
-    set once the clipped step falls below 1e-6 in log units (a zero
-    gradient gives a zero step), and unconverged if the start or a
-    Jacobian point diverges. It returns the best evaluated point. bounds
-    is one (low, high) pair per variable: 2 for shared damping, n+1 with
-    per_joint=True.
+    bounds is one (low, high) pair per free variable: 2 pairs for the
+    shared-damping search, n+1 with per_joint=True.
     """
     frames = list(frames)
     if not frames:
@@ -159,13 +154,6 @@ def identify(
         )
     if np.any(lo > hi) or np.any(x0 < lo) or np.any(x0 > hi):
         raise InvalidInputError("bounds must contain the initial guess")
-    free = np.flatnonzero(lo < hi)
-    if np.any(x0[free] <= 0.0):
-        raise InvalidInputError(
-            "a fitted variable must start above 0; equal bounds fix it"
-        )
-    with np.errstate(divide="ignore"):
-        u_lo, u_hi = np.log(lo[free]), np.log(hi[free])
     times, targets = _frame_targets(frames, n)
 
     def to_params(x: np.ndarray) -> DynamicsParams:
@@ -176,58 +164,78 @@ def identify(
 
     evaluations: list[tuple[tuple[float, ...], float]] = []
     best_history: list[float] = []
+    state = {"best_x": None, "best_f": np.inf}
 
-    def evaluate(x: np.ndarray) -> np.ndarray | None:
-        """Flat residual at x, or None if the simulation diverged."""
-        try:
-            r = _residual(to_params(x), chain, geometry, trace, times,
-                          targets)
-            value = _rms(r)
-        except DivergenceError:
-            r, value = None, _DIVERGENCE_PENALTY
+    def evaluate(x: np.ndarray) -> float:
+        x = np.clip(x, lo, hi)
+        value = _score(to_params(x), chain, geometry, trace, times,
+                       targets).value
         evaluations.append((tuple(float(v) for v in x), value))
-        best_history.append(min(best_history[-1:] + [value]))
-        return None if r is None else r.ravel()
+        if value < state["best_f"]:
+            state["best_f"] = value
+            state["best_x"] = x.copy()
+        best_history.append(state["best_f"])
+        return value
 
-    # One simulation per pass: the next Jacobian column at x, else a step.
-    x, r = x0, evaluate(x0)
-    f, lam, converged, cols = evaluations[0][1], _LAMBDA0, False, []
-    while r is not None and len(evaluations) < budget:
-        u = np.log(x[free])
-        if len(cols) < len(free):
-            j = len(cols)
-            h = _FD_STEP if u[j] + _FD_STEP <= u_hi[j] else -_FD_STEP
-            x_h = x.copy()
-            x_h[free[j]] = np.exp(u[j] + h)
-            r_h = evaluate(np.clip(x_h, lo, hi))
-            if r_h is None:
-                break
-            cols.append((r_h - r) / h)
-            continue
-        jac = np.reshape(cols, (len(free), len(r))).T
-        jtj = jac.T @ jac
-        # A column no probe moved gets unit scale, so the solve stays regular.
-        scale = np.diag(np.where(np.diag(jtj) > 0.0, np.diag(jtj), 1.0))
-        u_new = np.clip(u + np.linalg.solve(jtj + lam * scale, -jac.T @ r),
-                        u_lo, u_hi)
-        if np.abs(u_new - u).max(initial=0.0) < _STEP_TOL:
-            converged = True
+    def out_of_budget() -> bool:
+        return len(evaluations) >= budget
+
+    simplex = _initial_simplex(x0)
+    values = np.empty(len(simplex))
+    values[0] = evaluate(simplex[0])
+    converged = False
+    for i in range(1, len(simplex)):
+        if out_of_budget():
             break
-        x_new = x.copy()
-        x_new[free] = np.exp(u_new)
-        x_new = np.clip(x_new, lo, hi)
-        r_new = evaluate(x_new)
-        f_new = evaluations[-1][1]
-        if r_new is not None and f_new < f * (1 - _MIN_DECREASE):
-            x, r, f, cols = x_new, r_new, f_new, []
-            lam /= _LAMBDA_DOWN
-        else:
-            lam *= _LAMBDA_UP
+        values[i] = evaluate(simplex[i])
+    else:
+        while not out_of_budget():
+            order = np.argsort(values, kind="stable")
+            simplex = simplex[order]
+            values = values[order]
+            diameter = max(
+                float(np.linalg.norm(v - simplex[0])) for v in simplex[1:]
+            )
+            if diameter < _CONVERGENCE_DIAMETER:
+                converged = True
+                break
+            centroid = simplex[:-1].mean(axis=0)
+            worst = simplex[-1]
+            reflected = centroid + (centroid - worst)
+            f_r = evaluate(reflected)
+            if f_r < values[0]:
+                if out_of_budget():
+                    break
+                expanded = centroid + 2.0 * (centroid - worst)
+                f_e = evaluate(expanded)
+                if f_e < f_r:
+                    simplex[-1], values[-1] = expanded, f_e
+                else:
+                    simplex[-1], values[-1] = reflected, f_r
+            elif f_r < values[-2]:
+                simplex[-1], values[-1] = reflected, f_r
+            else:
+                if out_of_budget():
+                    break
+                if f_r < values[-1]:
+                    contracted = centroid + 0.5 * (reflected - centroid)
+                else:
+                    contracted = centroid + 0.5 * (worst - centroid)
+                f_c = evaluate(contracted)
+                if f_c < min(f_r, values[-1]):
+                    simplex[-1], values[-1] = contracted, f_c
+                else:
+                    for i in range(1, len(simplex)):
+                        if out_of_budget():
+                            break
+                        simplex[i] = simplex[0] + 0.5 * (simplex[i]
+                                                         - simplex[0])
+                        values[i] = evaluate(simplex[i])
 
-    best_x, best_f = min(evaluations, key=lambda e: e[1])
+    best_x = np.clip(state["best_x"], lo, hi)
     return IdentificationResult(
         params=to_params(best_x),
-        objective_value=best_f,
+        objective_value=float(state["best_f"]),
         best_history=tuple(best_history),
         evaluations=tuple(evaluations),
         n_evaluations=len(evaluations),
